@@ -516,8 +516,8 @@ func BenchmarkSubstrates(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationConvLowering compares the direct convolution loops
-// against the im2col+GEMM lowering used by production engines.
+// BenchmarkAblationConvLowering compares the direct convolution loops (the
+// test oracle) against the im2col+GEMM lowering that Conv2D runs.
 func BenchmarkAblationConvLowering(b *testing.B) {
 	rng := nn.NewRNG(50)
 	c := nn.NewConv2D(rng, "c", 16, 16, 3, 1, 1)
@@ -526,26 +526,25 @@ func BenchmarkAblationConvLowering(b *testing.B) {
 		x.Data[i] = float64(i%13) * 0.1
 	}
 	b.Run("Direct", func(b *testing.B) {
-		c.Algo = nn.ConvDirect
 		for i := 0; i < b.N; i++ {
-			c.Forward(x, false)
+			nn.Conv2DDirect(c, x)
 		}
 	})
 	b.Run("Im2colGEMM", func(b *testing.B) {
-		c.Algo = nn.ConvGEMM
 		for i := 0; i < b.N; i++ {
-			nn.Conv2DGEMM(c, x)
+			c.Forward(x, false)
 		}
 	})
 }
 
 // BenchmarkAblationConv3DLowering compares the direct 7-deep Conv3D loops
-// against the Im2Col3D+GEMM lowering at the volumetric shapes of the 3D
-// DiffNet (the acceptance shape is the 64³ forward). Short mode keeps only
-// the 32³ smoke so the GEMM path still compiles and runs on every PR.
+// (the test oracle) against the Im2Col3D+GEMM lowering that Conv3D runs,
+// at the volumetric shapes of the 3D DiffNet: 8³ and 16³ are its coarse
+// multigrid levels and deep U-Net levels, 64³ the acceptance shape. Short
+// mode skips 64³.
 func BenchmarkAblationConv3DLowering(b *testing.B) {
 	rng := nn.NewRNG(52)
-	for _, res := range []int{32, 64} {
+	for _, res := range []int{8, 16, 32, 64} {
 		if testing.Short() && res > 32 {
 			continue
 		}
@@ -555,13 +554,11 @@ func BenchmarkAblationConv3DLowering(b *testing.B) {
 			x.Data[i] = float64(i%13) * 0.1
 		}
 		b.Run(fmt.Sprintf("res%d/Direct", res), func(b *testing.B) {
-			c.Algo = nn.ConvDirect
 			for i := 0; i < b.N; i++ {
-				c.Forward(x, false)
+				nn.Conv3DDirect(c, x)
 			}
 		})
 		b.Run(fmt.Sprintf("res%d/Im2colGEMM", res), func(b *testing.B) {
-			c.Algo = nn.ConvGEMM
 			for i := 0; i < b.N; i++ {
 				c.Forward(x, false)
 			}
@@ -570,37 +567,37 @@ func BenchmarkAblationConv3DLowering(b *testing.B) {
 }
 
 // BenchmarkAblationConv3DBackward is the training-path half of the 3D
-// lowering ablation: direct loops vs col2im GEMM gradients.
+// lowering ablation: direct loops vs col2im GEMM gradients, at the same
+// sizes as the forward half. Short mode skips 32³.
 func BenchmarkAblationConv3DBackward(b *testing.B) {
 	rng := nn.NewRNG(53)
-	res := 32
-	if testing.Short() {
-		res = 16
-	}
-	c := nn.NewConv3D(rng, "c", 4, 8, 3, 1, 1)
-	x := tensor.New(1, 4, res, res, res)
-	for i := range x.Data {
-		x.Data[i] = float64(i%19) * 0.07
-	}
-	out := c.Forward(x, true)
-	gradOut := tensor.New(out.Shape()...)
-	for i := range gradOut.Data {
-		gradOut.Data[i] = float64(i%23) * 0.03
-	}
-	b.Run("Direct", func(b *testing.B) {
-		c.Algo = nn.ConvDirect
-		for i := 0; i < b.N; i++ {
-			nn.ZeroGrads(c)
-			c.Backward(gradOut)
+	for _, res := range []int{8, 16, 32} {
+		if testing.Short() && res > 16 {
+			continue
 		}
-	})
-	b.Run("Im2colGEMM", func(b *testing.B) {
-		c.Algo = nn.ConvGEMM
-		for i := 0; i < b.N; i++ {
-			nn.ZeroGrads(c)
-			c.Backward(gradOut)
+		c := nn.NewConv3D(rng, "c", 4, 8, 3, 1, 1)
+		x := tensor.New(1, 4, res, res, res)
+		for i := range x.Data {
+			x.Data[i] = float64(i%19) * 0.07
 		}
-	})
+		out := c.Forward(x, true)
+		gradOut := tensor.New(out.Shape()...)
+		for i := range gradOut.Data {
+			gradOut.Data[i] = float64(i%23) * 0.03
+		}
+		b.Run(fmt.Sprintf("res%d/Direct", res), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nn.ZeroGrads(c)
+				nn.Conv3DDirectBackward(c, x, gradOut)
+			}
+		})
+		b.Run(fmt.Sprintf("res%d/Im2colGEMM", res), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nn.ZeroGrads(c)
+				c.Backward(gradOut)
+			}
+		})
+	}
 }
 
 // BenchmarkMatMul compares the blocked parallel GEMM with the naive loop.
@@ -668,15 +665,10 @@ func benchOmega(k int) field.Omega {
 }
 
 // BenchmarkServeThroughput is the serving acceptance benchmark: requests/s
-// of the batched multi-replica engine (by coalescing width) against two
-// sequential per-request baselines — one rasterize + net.Forward + BC
-// imposition per query. SequentialForward pins DirectConv and is the
-// pre-serving consumer exactly as it shipped before this subsystem (2D
-// nets had no GEMM dispatch, every mginfer/experiment query paid the
-// direct loops); SequentialLowered is the same per-request loop with the
-// engine's kernel selection, isolating how much of the win is lowering
-// versus dispatch. Every request uses a distinct ω, so the engine's cache
-// and single-flight dedup never fire.
+// of the batched multi-replica engine (by coalescing width) against the
+// sequential per-request baseline SequentialLowered — one rasterize +
+// net.Forward + BC imposition per query. Every request uses a distinct ω,
+// so the engine's cache and single-flight dedup never fire.
 func BenchmarkServeThroughput(b *testing.B) {
 	const res = 16
 	cfg := unet.DefaultConfig(2)
@@ -685,22 +677,16 @@ func BenchmarkServeThroughput(b *testing.B) {
 	net := unet.New(cfg)
 	loss := fem.NewEnergyLoss(2)
 
-	direct := cfg
-	direct.DirectConv = true
-	directNet := unet.New(direct)
-
-	sequential := func(b *testing.B, n *unet.UNet) {
+	b.Run("SequentialLowered", func(b *testing.B) {
 		in := tensor.New(1, 1, res, res)
 		for i := 0; i < b.N; i++ {
 			field.RasterInto(in.Data, benchOmega(i), 2, res)
-			u := loss.WithBC(n.Forward(in, false))
+			u := loss.WithBC(net.Forward(in, false))
 			if u.Len() == 0 {
 				b.Fatal("empty")
 			}
 		}
-	}
-	b.Run("SequentialForward", func(b *testing.B) { sequential(b, directNet) })
-	b.Run("SequentialLowered", func(b *testing.B) { sequential(b, net) })
+	})
 
 	for _, window := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("BatchedWindow%d", window), func(b *testing.B) {
@@ -781,8 +767,8 @@ func BenchmarkSupervisedLabelGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConvBackward compares the direct backward loops against
-// the GEMM lowering (col2im) for the training path.
+// BenchmarkAblationConvBackward compares the direct backward loops (the
+// test oracle) against the GEMM lowering (col2im) that Conv2D runs.
 func BenchmarkAblationConvBackward(b *testing.B) {
 	rng := nn.NewRNG(51)
 	c := nn.NewConv2D(rng, "c", 8, 8, 3, 1, 1)
@@ -796,17 +782,15 @@ func BenchmarkAblationConvBackward(b *testing.B) {
 		gradOut.Data[i] = float64(i%23) * 0.03
 	}
 	b.Run("Direct", func(b *testing.B) {
-		c.Algo = nn.ConvDirect
 		for i := 0; i < b.N; i++ {
 			nn.ZeroGrads(c)
-			c.Backward(gradOut)
+			nn.Conv2DDirectBackward(c, x, gradOut)
 		}
 	})
 	b.Run("Im2colGEMM", func(b *testing.B) {
-		c.Algo = nn.ConvGEMM
 		for i := 0; i < b.N; i++ {
 			nn.ZeroGrads(c)
-			nn.Conv2DGEMMBackward(c, x, gradOut)
+			c.Backward(gradOut)
 		}
 	})
 }

@@ -28,12 +28,10 @@ func HaloFor(net *unet.UNet) int {
 // every retained output value is computed from exactly the same inputs as
 // the monolithic pass.
 //
-// When both passes execute the same convolution kernels the results agree
-// bit-for-bit. With the automatic im2col+GEMM lowering (nn.ConvAuto, the
-// 3D default) a slab's smaller extended volume can select a different
-// kernel than the monolithic pass near the size threshold, in which case
-// the results agree to floating-point summation order (≲1e-13) instead;
-// pin unet.Config.DirectConv to recover exact bitwise equality.
+// Every convolution lowers to im2col+GEMM, which accumulates each output
+// element's terms in a fixed order whatever the volume, so the result is
+// bit-identical to the monolithic pass in 2D and 3D alike.
+//
 // SpatialInference is safe for concurrent Forward/ForwardInto calls: a
 // pass owns the worker replicas and their scratch exclusively, so
 // concurrent callers serialize on an internal mutex (the slab workers

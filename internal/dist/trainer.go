@@ -299,10 +299,9 @@ func newReplica(net *unet.UNet, dim, workers int, lr float64, tr Transport, buck
 // BatchNorm enabled the trajectory and the replicas' running statistics
 // depend on p even though the parameters still match bit-for-bit. The
 // paper's scaling study — and every harness in this repository — runs the
-// scaling nets with BatchNorm disabled. (Conv3D's automatic im2col+GEMM
-// lowering keeps worker-count independence intact: its kernel selection
-// depends only on the per-sample output volume, never on the local shard
-// size.)
+// scaling nets with BatchNorm disabled. (The im2col+GEMM convolutions keep
+// worker-count independence intact: a sample's result does not depend on
+// the size of the shard it runs in.)
 type ParallelTrainer struct {
 	Cfg  ParallelConfig
 	data DataSource

@@ -10,14 +10,16 @@ import (
 // Conv2D is a 2D cross-correlation layer over NCHW tensors with zero
 // padding. Weight layout is [Cout, Cin, KH, KW].
 //
-// Like Conv3D, the layer selects its execution strategy through Algo:
-// with ConvAuto (the default) Forward and Backward lower to im2col+GEMM —
-// which beats the direct loops at every U-Net level size on this
-// substrate — while ConvDirect pins the straightforward loops, kept as
-// the correctness oracle. Because the GEMM accumulates each output
+// Forward and Backward lower to im2col+GEMM, which beats the direct loops
+// at every U-Net level size; the direct loops survive only as the test
+// oracle (Conv2DDirect). Because the GEMM accumulates each output
 // element's terms in a fixed ascending order (see tensor.MatMulInto),
 // per-sample results are bit-identical regardless of batch composition,
 // which the serving engine's coalescing relies on.
+//
+// The lowering's column and product matrices live in a Scratch that the
+// layer may share with other layers (see ShareScratch), so a Conv2D must
+// not run concurrently with itself or with any layer sharing its Scratch.
 type Conv2D struct {
 	InChannels  int
 	OutChannels int
@@ -25,29 +27,21 @@ type Conv2D struct {
 	Stride      int
 	Pad         int
 
-	// Algo selects the execution strategy; the zero value is ConvAuto.
-	Algo ConvAlgo
-
 	W *Param
 	B *Param
 
 	in       *tensor.Tensor
 	fwd, bwd outBuf
 
-	// Persistent GEMM scratch (column matrix, product, gradient columns)
-	// grown on demand and reused across passes like Conv3D's, plus cached
+	// GEMM scratch: views over the (possibly shared) store, plus cached
 	// weight/weight-gradient matrix views re-pointed on arena rebases.
+	scratch                       *Scratch
 	colsBuf, prodBuf, gradColsBuf gemmBuf
 	wMatView, gwView              *tensor.Tensor
 }
 
-// useGEMM decides whether Forward/Backward lower to im2col+GEMM. The
-// lowering wins at every benchmarked size in 2D (unlike 3D, where tiny
-// volumes favor the direct loops), so ConvAuto always lowers; ConvDirect
-// is the explicit opt-out.
-func (c *Conv2D) useGEMM() bool { return c.Algo != ConvDirect }
-
 func (c *Conv2D) setBufferReuse(on bool) { c.fwd.on, c.bwd.on = on, on }
+func (c *Conv2D) useScratch(s *Scratch)  { c.scratch = s }
 
 // NewConv2D builds a 2D convolution with square kernels and He
 // initialization appropriate for LeakyReLU networks.
@@ -60,6 +54,7 @@ func NewConv2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 		Pad:         pad,
 		W:           NewParam(name+".W", outCh, inCh, kernel, kernel),
 		B:           NewParam(name+".B", outCh),
+		scratch:     new(Scratch),
 	}
 	heInitAny(rng, c.W.Data, inCh*kernel*kernel)
 	return c
@@ -80,7 +75,8 @@ func heInitAny(rng interface{ NormFloat64() float64 }, w *tensor.Tensor, fanIn i
 // OutSize returns the spatial output size for an input extent n.
 func (c *Conv2D) OutSize(n int) int { return (n+2*c.Pad-c.Kernel)/c.Stride + 1 }
 
-// Forward implements Layer.
+// Forward implements Layer: im2col, one GEMM against the [Cout, Cin·K·K]
+// weight matrix, and a reorder to NCHW with the bias added.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 4, "Conv2D")
 	n, ci, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -94,146 +90,58 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		c.in = x
 	}
-	if c.useGEMM() {
-		return c.gemmForward(x, n, ho, wo)
-	}
-	out := c.fwd.get(n, c.OutChannels, ho, wo)
 	k, s, p := c.Kernel, c.Stride, c.Pad
-	wd, xd, od, bd := c.W.Data.Data, x.Data, out.Data, c.B.Data.Data
+	colW := n * ho * wo
 
-	tensor.ParallelFor(n*c.OutChannels, func(job int) {
-		bn := job / c.OutChannels
-		co := job % c.OutChannels
-		outBase := (bn*c.OutChannels + co) * ho * wo
-		for oy := 0; oy < ho; oy++ {
-			for ox := 0; ox < wo; ox++ {
-				acc := bd[co]
-				iy0 := oy*s - p
-				ix0 := ox*s - p
-				for cin := 0; cin < ci; cin++ {
-					wBase := ((co*ci + cin) * k) * k
-					xBase := (bn*ci + cin) * h * w
-					for ky := 0; ky < k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						rowW := wBase + ky*k
-						rowX := xBase + iy*w
-						for kx := 0; kx < k; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							acc += wd[rowW+kx] * xd[rowX+ix]
-						}
-					}
-				}
-				od[outBase+oy*wo+ox] = acc
+	cols := c.colsBuf.get(&c.scratch.cols, ci*k*k, colW, true)
+	im2col2DInto(cols, x, k, s, p)
+	wMat := paramMat(&c.wMatView, c.W.Data.Data, c.OutChannels, ci*k*k)
+	prod := c.prodBuf.get(&c.scratch.prod, c.OutChannels, colW, true)
+	tensor.MatMulInto(wMat, cols, prod) // [Cout, N·Ho·Wo]
+
+	out := c.fwd.get(n, c.OutChannels, ho, wo)
+	od, pd, bd := out.Data, prod.Data, c.B.Data.Data
+	tensor.ParallelFor(c.OutChannels, func(oc int) {
+		rowBase := oc * colW
+		for bn := 0; bn < n; bn++ {
+			dst := (bn*c.OutChannels + oc) * ho * wo
+			src := rowBase + bn*ho*wo
+			for i := 0; i < ho*wo; i++ {
+				od[dst+i] = pd[src+i] + bd[oc]
 			}
 		}
 	})
 	return out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.useGEMM() {
-		return c.gemmBackward(c.in, grad)
-	}
+// Backward implements Layer by the same lowering: gradW += gradOut·colsᵀ,
+// gradB += row sums, gradX = col2im(Wᵀ·gradOut).
+func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.in
-	n, ci, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	ho, wo := grad.Dim(2), grad.Dim(3)
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	k, s, p := c.Kernel, c.Stride, c.Pad
-	co := c.OutChannels
+	ho, wo := gradOut.Dim(2), gradOut.Dim(3)
+	ci, co := c.InChannels, c.OutChannels
+	colW := n * ho * wo
 
-	gd, xd, wd := grad.Data, x.Data, c.W.Data.Data
-	gw, gb := c.W.Grad.Data, c.B.Grad.Data
+	// Reorder gradOut from [N, Cout, Ho, Wo] into [Cout, N·Ho·Wo]. The
+	// matrix is fully overwritten, so no zeroing is needed.
+	gMat := c.prodBuf.get(&c.scratch.prod, co, colW, false)
+	chanMajor(gMat, gradOut.Data, n, co, ho*wo)
 
-	// Bias gradient: sum over batch and spatial positions per out channel.
-	tensor.ParallelFor(co, func(oc int) {
-		acc := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * ho * wo
-			for i := 0; i < ho*wo; i++ {
-				acc += gd[base+i]
-			}
-		}
-		gb[oc] += acc
-	})
+	biasGrad(c.B.Grad.Data, gradOut.Data, n, co, ho*wo)
 
-	// Weight gradient: parallel over (co, ci) pairs so accumulation is
-	// race-free.
-	tensor.ParallelFor(co*ci, func(job int) {
-		oc := job / ci
-		cin := job % ci
-		wBase := ((oc*ci + cin) * k) * k
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				acc := 0.0
-				for bn := 0; bn < n; bn++ {
-					gBase := (bn*co + oc) * ho * wo
-					xBase := (bn*ci + cin) * h * w
-					for oy := 0; oy < ho; oy++ {
-						iy := oy*s - p + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						gRow := gBase + oy*wo
-						xRow := xBase + iy*w
-						for ox := 0; ox < wo; ox++ {
-							ix := ox*s - p + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							acc += gd[gRow+ox] * xd[xRow+ix]
-						}
-					}
-				}
-				gw[wBase+ky*k+kx] += acc
-			}
-		}
-	})
+	cols := c.colsBuf.get(&c.scratch.cols, ci*k*k, colW, true)
+	im2col2DInto(cols, x, k, s, p)
+	// gradW accumulates in place: gw += gMat · colsᵀ.
+	gw := paramMat(&c.gwView, c.W.Grad.Data, co, ci*k*k)
+	tensor.MatMulTransBInto(gMat, cols, gw)
 
-	// Input gradient: gather formulation, parallel over (n, ci).
-	gin := c.bwd.get(n, ci, h, w)
-	gi := gin.Data
-	tensor.ParallelFor(n*ci, func(job int) {
-		bn := job / ci
-		cin := job % ci
-		inBase := (bn*ci + cin) * h * w
-		for iy := 0; iy < h; iy++ {
-			for ix := 0; ix < w; ix++ {
-				acc := 0.0
-				for oc := 0; oc < co; oc++ {
-					wBase := ((oc*ci + cin) * k) * k
-					gBase := (bn*co + oc) * ho * wo
-					for ky := 0; ky < k; ky++ {
-						oyNum := iy + p - ky
-						if oyNum < 0 || oyNum%s != 0 {
-							continue
-						}
-						oy := oyNum / s
-						if oy >= ho {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							oxNum := ix + p - kx
-							if oxNum < 0 || oxNum%s != 0 {
-								continue
-							}
-							ox := oxNum / s
-							if ox >= wo {
-								continue
-							}
-							acc += wd[wBase+ky*k+kx] * gd[gBase+oy*wo+ox]
-						}
-					}
-				}
-				gi[inBase+iy*w+ix] = acc
-			}
-		}
-	})
+	wMat := paramMat(&c.wMatView, c.W.Data.Data, co, ci*k*k)
+	gCols := c.gradColsBuf.get(&c.scratch.gradCols, ci*k*k, colW, true)
+	tensor.MatMulTransAInto(wMat, gMat, gCols)
+	gin := c.bwd.getZero(n, ci, h, w)
+	col2im2DInto(gin, gCols, k, s, p)
 	return gin
 }
 
@@ -244,10 +152,10 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // convolution) over NCHW tensors. Weight layout is [Cin, Cout, KH, KW];
 // the output extent for input n is (n-1)*stride - 2*pad + kernel.
 //
-// Like Conv2D, Algo selects the execution strategy: ConvAuto (default)
-// lowers to the GEMM + col2im scatter formulation, ConvDirect pins the
-// gather loops kept as the oracle. The GEMM path is bit-identical across
-// batch compositions, matching the serving engine's coalescing contract.
+// Like Conv2D it runs the GEMM lowering over a possibly shared Scratch,
+// with the direct gather loops kept as the test oracle
+// (ConvTranspose2DDirect). Results are bit-identical across batch
+// compositions, matching the serving engine's coalescing contract.
 type ConvTranspose2D struct {
 	InChannels  int
 	OutChannels int
@@ -255,23 +163,19 @@ type ConvTranspose2D struct {
 	Stride      int
 	Pad         int
 
-	// Algo selects the execution strategy; the zero value is ConvAuto.
-	Algo ConvAlgo
-
 	W *Param
 	B *Param
 
 	in       *tensor.Tensor
 	fwd, bwd outBuf
 
+	scratch          *Scratch
 	colsBuf, matBuf  gemmBuf
 	wMatView, gwView *tensor.Tensor
 }
 
-// useGEMM mirrors Conv2D: the lowering wins at every benchmarked size.
-func (c *ConvTranspose2D) useGEMM() bool { return c.Algo != ConvDirect }
-
 func (c *ConvTranspose2D) setBufferReuse(on bool) { c.fwd.on, c.bwd.on = on, on }
+func (c *ConvTranspose2D) useScratch(s *Scratch)  { c.scratch = s }
 
 // NewConvTranspose2D builds a 2D transpose convolution with He init.
 func NewConvTranspose2D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *ConvTranspose2D {
@@ -283,6 +187,7 @@ func NewConvTranspose2D(rng interface{ NormFloat64() float64 }, name string, inC
 		Pad:         pad,
 		W:           NewParam(name+".W", inCh, outCh, kernel, kernel),
 		B:           NewParam(name+".B", outCh),
+		scratch:     new(Scratch),
 	}
 	heInitAny(rng, c.W.Data, inCh*kernel*kernel)
 	return c
@@ -291,7 +196,11 @@ func NewConvTranspose2D(rng interface{ NormFloat64() float64 }, name string, inC
 // OutSize returns the spatial output size for an input extent n.
 func (c *ConvTranspose2D) OutSize(n int) int { return (n-1)*c.Stride - 2*c.Pad + c.Kernel }
 
-// Forward implements Layer.
+// Forward implements Layer as the adjoint of the im2col lowering:
+// cols = W̃ᵀ·x̃ followed by a col2im scatter onto the (larger) output grid.
+// The transposed convolution is exactly the adjoint of a (k, s, p)
+// convolution from the output grid back to the input grid, so the same
+// col2im kernel serves both Conv2D's backprop and this forward.
 func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 4, "ConvTranspose2D")
 	n, ci, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -302,142 +211,68 @@ func (c *ConvTranspose2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		c.in = x
 	}
-	if c.useGEMM() {
-		return c.gemmForward(x, n, ho, wo)
-	}
-	out := c.fwd.get(n, c.OutChannels, ho, wo)
 	k, s, p := c.Kernel, c.Stride, c.Pad
 	co := c.OutChannels
-	wd, xd, od, bd := c.W.Data.Data, x.Data, out.Data, c.B.Data.Data
+	hw := h * w
 
-	// Gather form: out[n,oc,oy,ox] = b + sum over (ci,ky,kx) with
-	// iy = (oy+p-ky)/s when divisible. Race-free parallel over (n, oc).
-	tensor.ParallelFor(n*co, func(job int) {
-		bn := job / co
-		oc := job % co
-		outBase := (bn*co + oc) * ho * wo
-		for oy := 0; oy < ho; oy++ {
-			for ox := 0; ox < wo; ox++ {
-				acc := bd[oc]
-				for cin := 0; cin < ci; cin++ {
-					wBase := ((cin*co + oc) * k) * k
-					xBase := (bn*ci + cin) * h * w
-					for ky := 0; ky < k; ky++ {
-						iyNum := oy + p - ky
-						if iyNum < 0 || iyNum%s != 0 {
-							continue
-						}
-						iy := iyNum / s
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ixNum := ox + p - kx
-							if ixNum < 0 || ixNum%s != 0 {
-								continue
-							}
-							ix := ixNum / s
-							if ix >= w {
-								continue
-							}
-							acc += wd[wBase+ky*k+kx] * xd[xBase+iy*w+ix]
-						}
-					}
-				}
-				od[outBase+oy*wo+ox] = acc
+	xMat := c.matBuf.get(&c.scratch.prod, ci, n*hw, false) // fully overwritten
+	chanMajor(xMat, x.Data, n, ci, hw)
+	wMat := paramMat(&c.wMatView, c.W.Data.Data, ci, co*k*k)
+	cols := c.colsBuf.get(&c.scratch.cols, co*k*k, n*hw, true)
+	tensor.MatMulTransAInto(wMat, xMat, cols) // [Co·K·K, N·H·W]
+
+	out := c.fwd.getZero(n, co, ho, wo)
+	col2im2DInto(out, cols, k, s, p)
+	od, bd := out.Data, c.B.Data.Data
+	tensor.ParallelFor(co, func(oc int) {
+		for bn := 0; bn < n; bn++ {
+			base := (bn*co + oc) * ho * wo
+			for i := 0; i < ho*wo; i++ {
+				od[base+i] += bd[oc]
 			}
 		}
 	})
 	return out
 }
 
-// Backward implements Layer.
-func (c *ConvTranspose2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.useGEMM() {
-		return c.gemmBackward(c.in, grad)
-	}
+// Backward implements Layer by the same lowering:
+// gradX = W̃·im2col(gradOut), gradW += x̃·im2col(gradOut)ᵀ,
+// gradB += per-channel sums.
+func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.in
-	n, ci, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	ho, wo := grad.Dim(2), grad.Dim(3)
 	k, s, p := c.Kernel, c.Stride, c.Pad
-	co := c.OutChannels
-	gd, xd, wd := grad.Data, x.Data, c.W.Data.Data
-	gw, gb := c.W.Grad.Data, c.B.Grad.Data
+	ci, co := c.InChannels, c.OutChannels
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	ho, wo := gradOut.Dim(2), gradOut.Dim(3)
+	hw := h * w
 
-	tensor.ParallelFor(co, func(oc int) {
-		acc := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * ho * wo
-			for i := 0; i < ho*wo; i++ {
-				acc += gd[base+i]
-			}
-		}
-		gb[oc] += acc
-	})
+	biasGrad(c.B.Grad.Data, gradOut.Data, n, co, ho*wo)
 
-	// Weight gradient, race-free over (ci, co).
-	tensor.ParallelFor(ci*co, func(job int) {
-		cin := job / co
-		oc := job % co
-		wBase := ((cin*co + oc) * k) * k
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				acc := 0.0
-				for bn := 0; bn < n; bn++ {
-					xBase := (bn*ci + cin) * h * w
-					gBase := (bn*co + oc) * ho * wo
-					for iy := 0; iy < h; iy++ {
-						oy := iy*s - p + ky
-						if oy < 0 || oy >= ho {
-							continue
-						}
-						xRow := xBase + iy*w
-						gRow := gBase + oy*wo
-						for ix := 0; ix < w; ix++ {
-							ox := ix*s - p + kx
-							if ox < 0 || ox >= wo {
-								continue
-							}
-							acc += xd[xRow+ix] * gd[gRow+ox]
-						}
-					}
-				}
-				gw[wBase+ky*k+kx] += acc
-			}
-		}
-	})
+	// im2col over gradOut with the adjoint (k, s, p) geometry yields the
+	// [Co·K·K, N·H·W] matrix both remaining gradients contract against.
+	cols := c.colsBuf.get(&c.scratch.cols, co*k*k, n*hw, true)
+	im2col2DInto(cols, gradOut, k, s, p)
 
-	// Input gradient: a plain strided correlation of grad with W.
+	// gradX = W̃ · cols, reordered back to NCHW.
+	wMat := paramMat(&c.wMatView, c.W.Data.Data, ci, co*k*k)
+	ginMat := c.matBuf.get(&c.scratch.prod, ci, n*hw, true)
+	tensor.MatMulInto(wMat, cols, ginMat)
 	gin := c.bwd.get(n, ci, h, w)
 	gi := gin.Data
-	tensor.ParallelFor(n*ci, func(job int) {
-		bn := job / ci
-		cin := job % ci
-		inBase := (bn*ci + cin) * h * w
-		for iy := 0; iy < h; iy++ {
-			for ix := 0; ix < w; ix++ {
-				acc := 0.0
-				for oc := 0; oc < co; oc++ {
-					wBase := ((cin*co + oc) * k) * k
-					gBase := (bn*co + oc) * ho * wo
-					for ky := 0; ky < k; ky++ {
-						oy := iy*s - p + ky
-						if oy < 0 || oy >= ho {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ox := ix*s - p + kx
-							if ox < 0 || ox >= wo {
-								continue
-							}
-							acc += wd[wBase+ky*k+kx] * gd[gBase+oy*wo+ox]
-						}
-					}
-				}
-				gi[inBase+iy*w+ix] = acc
-			}
+	for bn := 0; bn < n; bn++ {
+		for ch := 0; ch < ci; ch++ {
+			src := ch*(n*hw) + bn*hw
+			dst := (bn*ci + ch) * hw
+			copy(gi[dst:dst+hw], ginMat.Data[src:src+hw])
 		}
-	})
+	}
+
+	// gradW += x̃ · colsᵀ (the product slot is free again after the
+	// reorder above).
+	xMat := c.matBuf.get(&c.scratch.prod, ci, n*hw, false)
+	chanMajor(xMat, x.Data, n, ci, hw)
+	gw := paramMat(&c.gwView, c.W.Grad.Data, ci, co*k*k)
+	tensor.MatMulTransBInto(xMat, cols, gw)
 	return gin
 }
 

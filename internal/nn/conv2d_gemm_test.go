@@ -19,10 +19,10 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-// TestConv2DGEMMEquivalence pins the 2D auto-lowering against the direct
-// loops (the correctness oracle) for forward and backward across kernel
-// sizes, strides and paddings, to floating-point summation-order
-// tolerance.
+// TestConv2DGEMMEquivalence pins the Conv2D layer (the GEMM lowering)
+// against the direct loops (the correctness oracle) for forward and
+// backward across kernel sizes, strides and paddings, to floating-point
+// summation-order tolerance.
 func TestConv2DGEMMEquivalence(t *testing.T) {
 	cases := []struct{ n, ci, co, res, k, s, p int }{
 		{1, 1, 4, 8, 3, 1, 1},
@@ -35,9 +35,7 @@ func TestConv2DGEMMEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("n%d_ci%d_co%d_res%d_k%d_s%d", tc.n, tc.ci, tc.co, tc.res, tc.k, tc.s), func(t *testing.T) {
 			rng := NewRNG(11)
 			direct := NewConv2D(rng, "c", tc.ci, tc.co, tc.k, tc.s, tc.p)
-			direct.Algo = ConvDirect
 			gemm := NewConv2D(NewRNG(0), "c", tc.ci, tc.co, tc.k, tc.s, tc.p)
-			gemm.Algo = ConvGEMM
 			gemm.W.Data.CopyFrom(direct.W.Data)
 			gemm.B.Data.CopyFrom(direct.B.Data)
 
@@ -45,7 +43,7 @@ func TestConv2DGEMMEquivalence(t *testing.T) {
 			for i := range x.Data {
 				x.Data[i] = math.Sin(float64(i) * 0.7)
 			}
-			yd := direct.Forward(x, true)
+			yd := Conv2DDirect(direct, x)
 			yg := gemm.Forward(x, true)
 			if d := maxAbsDiff(yd.Data, yg.Data); d > 1e-12 {
 				t.Fatalf("forward diverges: max |diff| %g", d)
@@ -57,7 +55,7 @@ func TestConv2DGEMMEquivalence(t *testing.T) {
 			}
 			ZeroGrads(direct)
 			ZeroGrads(gemm)
-			gid := direct.Backward(g)
+			gid := Conv2DDirectBackward(direct, x, g)
 			gig := gemm.Backward(g)
 			if d := maxAbsDiff(gid.Data, gig.Data); d > 1e-12 {
 				t.Fatalf("input gradient diverges: max |diff| %g", d)
@@ -72,31 +70,8 @@ func TestConv2DGEMMEquivalence(t *testing.T) {
 	}
 }
 
-// TestConv2DAutoDefaultsToGEMM pins the dispatch: the zero-value Algo
-// lowers (ConvAuto), and the results equal an explicit ConvGEMM bitwise.
-func TestConv2DAutoDefaultsToGEMM(t *testing.T) {
-	rng := NewRNG(13)
-	auto := NewConv2D(rng, "c", 2, 3, 3, 1, 1)
-	pinned := NewConv2D(NewRNG(0), "c", 2, 3, 3, 1, 1)
-	pinned.Algo = ConvGEMM
-	pinned.W.Data.CopyFrom(auto.W.Data)
-	pinned.B.Data.CopyFrom(auto.B.Data)
-
-	x := tensor.New(2, 2, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = math.Sin(float64(i))
-	}
-	ya := auto.Forward(x, false)
-	yp := pinned.Forward(x, false)
-	for i := range ya.Data {
-		if ya.Data[i] != yp.Data[i] {
-			t.Fatalf("ConvAuto result differs from ConvGEMM at %d", i)
-		}
-	}
-}
-
-// TestConvTranspose2DGEMMEquivalence pins the transposed-convolution
-// lowering against its direct gather loops, for the two shapes the U-Net
+// TestConvTranspose2DGEMMEquivalence pins the ConvTranspose2D layer (the
+// GEMM lowering) against its direct gather loops, for the two shapes the U-Net
 // uses (kernel-2/stride-2 upsamplers and stride-1 refinement layers) plus
 // a padded strided case.
 func TestConvTranspose2DGEMMEquivalence(t *testing.T) {
@@ -109,9 +84,7 @@ func TestConvTranspose2DGEMMEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("n%d_ci%d_co%d_res%d_k%d_s%d", tc.n, tc.ci, tc.co, tc.res, tc.k, tc.s), func(t *testing.T) {
 			rng := NewRNG(23)
 			direct := NewConvTranspose2D(rng, "t", tc.ci, tc.co, tc.k, tc.s, tc.p)
-			direct.Algo = ConvDirect
 			gemm := NewConvTranspose2D(NewRNG(0), "t", tc.ci, tc.co, tc.k, tc.s, tc.p)
-			gemm.Algo = ConvGEMM
 			gemm.W.Data.CopyFrom(direct.W.Data)
 			gemm.B.Data.CopyFrom(direct.B.Data)
 
@@ -119,7 +92,7 @@ func TestConvTranspose2DGEMMEquivalence(t *testing.T) {
 			for i := range x.Data {
 				x.Data[i] = math.Sin(float64(i) * 0.45)
 			}
-			yd := direct.Forward(x, true)
+			yd := ConvTranspose2DDirect(direct, x)
 			yg := gemm.Forward(x, true)
 			if d := maxAbsDiff(yd.Data, yg.Data); d > 1e-12 {
 				t.Fatalf("forward diverges: max |diff| %g", d)
@@ -131,7 +104,7 @@ func TestConvTranspose2DGEMMEquivalence(t *testing.T) {
 			}
 			ZeroGrads(direct)
 			ZeroGrads(gemm)
-			gid := direct.Backward(g)
+			gid := ConvTranspose2DDirectBackward(direct, x, g)
 			gig := gemm.Backward(g)
 			if d := maxAbsDiff(gid.Data, gig.Data); d > 1e-12 {
 				t.Fatalf("input gradient diverges: max |diff| %g", d)
@@ -199,6 +172,76 @@ func TestConv2DGEMMBatchInvariance(t *testing.T) {
 		for i := range y.Data {
 			if y.Data[i] != yBatch.Data[s*outPer+i] {
 				t.Fatalf("sample %d element %d: batched %v, single %v", s, i, yBatch.Data[s*outPer+i], y.Data[i])
+			}
+		}
+	}
+}
+
+// TestSharedScratchMatchesPrivate pins the soundness of ShareScratch:
+// layers of different sizes (2D, transposed and 3D) take turns on one
+// Scratch — the small ones running again after a large one grew the
+// storage under their cached views — and every forward output and
+// gradient is bit-identical to twins that own their scratch.
+func TestSharedScratchMatchesPrivate(t *testing.T) {
+	build := func() []Layer {
+		rng := NewRNG(31)
+		return []Layer{
+			NewConv2D(rng, "a", 2, 3, 3, 1, 1),
+			NewConvTranspose2D(rng, "b", 3, 4, 2, 2, 0),
+			NewConv3D(rng, "c", 2, 5, 3, 1, 1),
+			NewConv2D(rng, "d", 4, 6, 5, 1, 2),
+		}
+	}
+	inputs := []*tensor.Tensor{
+		randTensor(NewRNG(32), 2, 2, 6, 6),
+		randTensor(NewRNG(33), 2, 3, 5, 5),
+		randTensor(NewRNG(34), 1, 2, 6, 6, 6),
+		randTensor(NewRNG(35), 2, 4, 16, 16),
+	}
+	run := func(ls []Layer) (outs []*tensor.Tensor) {
+		for pass := 0; pass < 2; pass++ {
+			for i, l := range ls {
+				y := l.Forward(inputs[i], true)
+				g := y.Clone()
+				for j := range g.Data {
+					g.Data[j] = math.Sin(float64(j + i))
+				}
+				outs = append(outs, y.Clone(), l.Backward(g).Clone())
+			}
+		}
+		for _, l := range ls {
+			for _, p := range l.Params() {
+				outs = append(outs, p.Grad.Clone())
+			}
+		}
+		return outs
+	}
+	shared := build()
+	s := new(Scratch)
+	for _, l := range shared {
+		ShareScratch(l, s)
+	}
+	want, got := run(build()), run(shared)
+	// The storage really is shared: after the second pass every layer's
+	// column view sits on the one store, not on a copy it kept alive.
+	for i, l := range shared {
+		var v *tensor.Tensor
+		switch c := l.(type) {
+		case *Conv2D:
+			v = c.colsBuf.view
+		case *ConvTranspose2D:
+			v = c.colsBuf.view
+		case *Conv3D:
+			v = c.colsBuf.view
+		}
+		if &v.Data[0] != &s.cols[0] {
+			t.Fatalf("layer %d computes on storage outside the shared scratch", i)
+		}
+	}
+	for i := range want {
+		for j := range want[i].Data {
+			if want[i].Data[j] != got[i].Data[j] {
+				t.Fatalf("result %d element %d: shared scratch %v, private %v", i, j, got[i].Data[j], want[i].Data[j])
 			}
 		}
 	}

@@ -6,75 +6,42 @@ import (
 	"mgdiffnet/internal/tensor"
 )
 
-// ConvAlgo selects how a convolution layer executes its kernels.
-type ConvAlgo int
-
-const (
-	// ConvAuto (the zero value) lowers to im2col+GEMM when the output
-	// volume is large enough to amortize the materialized column matrix
-	// and falls back to the direct loops otherwise.
-	ConvAuto ConvAlgo = iota
-	// ConvDirect forces the nested direct loops — the correctness oracle
-	// the GEMM path is tested against.
-	ConvDirect
-	// ConvGEMM forces the im2col+GEMM lowering regardless of size.
-	ConvGEMM
-)
-
-// conv3dGEMMMinVolume is the per-sample output voxel count above which
-// ConvAuto switches Conv3D to the GEMM lowering. The threshold is
-// deliberately a function of the per-sample volume only — not the batch
-// size — so data-parallel batch sharding (dist.ParallelTrainer) cannot
-// change which kernel a replica picks. Memory never enters the decision:
-// the lowering streams depth slabs through a bounded scratch buffer
-// (conv3dSlabElems), so its footprint is O(slab), not O(volume).
-const conv3dGEMMMinVolume = 32 * 32 * 32
-
 // Conv3D is a 3D cross-correlation layer over NCDHW tensors with zero
 // padding. Weight layout is [Cout, Cin, KD, KH, KW]. It is the volumetric
 // kernel behind the paper's megavoxel 3D DiffNet.
 //
-// Above the ConvAuto size threshold, Forward and Backward lower to
-// im2col+GEMM (Conv3DGEMM / Conv3DGEMMBackward); the direct 7-deep loops
-// remain both the small-volume path and the correctness oracle. Set Algo
-// to pin either kernel.
+// Forward and Backward lower depth slabs of the input to im2col+GEMM at
+// every volume; the direct 7-deep loops survive only as the test oracle
+// (Conv3DDirect). Each output element accumulates its terms in a fixed
+// order whatever the slab depth, batch size or worker count, so a slab of
+// a domain computes bit-identically to the same rows of the whole domain.
 //
-// The GEMM path streams through per-layer scratch buffers, so a Conv3D —
-// and hence any network containing one — must not run concurrent Forward
-// calls on a shared instance, not even with train=false. Clone the
-// network per goroutine instead, as dist.SpatialInference and
-// dist.ParallelTrainer do.
+// The lowering streams through a Scratch that the layer may share with
+// other layers (see ShareScratch), so a Conv3D — and hence any network
+// containing one — must not run concurrent Forward calls on a shared
+// instance, not even with train=false. Clone the network per goroutine
+// instead, as dist.SpatialInference and dist.ParallelTrainer do.
 type Conv3D struct {
 	InChannels  int
 	OutChannels int
 	Kernel      int
 	Stride      int
 	Pad         int
-	// Algo selects the execution strategy; the zero value is ConvAuto.
-	Algo ConvAlgo
 
 	W *Param
 	B *Param
 
 	in *tensor.Tensor
-	// GEMM-lowering scratch, reused across passes (see im2colSlab).
+	// GEMM-lowering views over the (possibly shared) scratch, reused
+	// across passes (see im2colSlab), and cached weight-matrix views.
+	scratch                       *Scratch
 	colsBuf, prodBuf, gradColsBuf gemmBuf
-	fwd, bwd, gwBuf               outBuf
+	wMatView, gwView              *tensor.Tensor
+	fwd, bwd                      outBuf
 }
 
-func (c *Conv3D) setBufferReuse(on bool) { c.fwd.on, c.bwd.on, c.gwBuf.on = on, on, on }
-
-// scratch returns a [rows, cols] tensor backed by *buf, growing the
-// backing allocation only when the request exceeds it (the short final
-// depth slab of a pass reuses the full-slab buffer). Reuse across passes
-// is what keeps the GEMM lowering's column slabs cache-resident instead of
-// re-faulting fresh pages every forward/backward. Pass zero=false only
-// when the caller overwrites every element before reading (skipping a
-// multi-MiB memset per slab); accumulation targets of the *Into GEMM
-// kernels and the padding-skipping im2col fill need zero=true.
-func (c *Conv3D) scratch(buf *gemmBuf, rows, cols int, zero bool) *tensor.Tensor {
-	return buf.get(rows, cols, zero)
-}
+func (c *Conv3D) setBufferReuse(on bool) { c.fwd.on, c.bwd.on = on, on }
+func (c *Conv3D) useScratch(s *Scratch)  { c.scratch = s }
 
 // NewConv3D builds a cubic-kernel 3D convolution with He initialization.
 func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh, kernel, stride, pad int) *Conv3D {
@@ -86,6 +53,7 @@ func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 		Pad:         pad,
 		W:           NewParam(name+".W", outCh, inCh, kernel, kernel, kernel),
 		B:           NewParam(name+".B", outCh),
+		scratch:     new(Scratch),
 	}
 	heInitAny(rng, c.W.Data, inCh*kernel*kernel*kernel)
 	return c
@@ -94,19 +62,8 @@ func NewConv3D(rng interface{ NormFloat64() float64 }, name string, inCh, outCh,
 // OutSize returns the spatial output size for an input extent n.
 func (c *Conv3D) OutSize(n int) int { return (n+2*c.Pad-c.Kernel)/c.Stride + 1 }
 
-// useGEMM decides whether Forward/Backward lower to im2col+GEMM for a
-// pass with do×ho×wo output voxels per sample.
-func (c *Conv3D) useGEMM(do, ho, wo int) bool {
-	switch c.Algo {
-	case ConvDirect:
-		return false
-	case ConvGEMM:
-		return true
-	}
-	return do*ho*wo >= conv3dGEMMMinVolume
-}
-
-// Forward implements Layer.
+// Forward implements Layer: per depth slab, im2col and one GEMM against
+// the [Cout, Cin·K³] weight matrix, scattered into NCDHW with the bias.
 func (c *Conv3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 5, "Conv3D")
 	n, ci, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
@@ -120,171 +77,90 @@ func (c *Conv3D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		c.in = x
 	}
-	if c.useGEMM(do, ho, wo) {
-		return Conv3DGEMM(c, x)
-	}
-	out := c.fwd.get(n, c.OutChannels, do, ho, wo)
 	k, s, p := c.Kernel, c.Stride, c.Pad
+	ciK3 := ci * k * k * k
 	co := c.OutChannels
-	wd, xd, od, bd := c.W.Data.Data, x.Data, out.Data, c.B.Data.Data
+	dz := conv3dSlabDepth(ciK3, n, do, ho, wo)
 
-	tensor.ParallelFor(n*co, func(job int) {
-		bn := job / co
-		oc := job % co
-		outBase := (bn*co + oc) * do * ho * wo
-		for oz := 0; oz < do; oz++ {
-			iz0 := oz*s - p
-			for oy := 0; oy < ho; oy++ {
-				iy0 := oy*s - p
-				for ox := 0; ox < wo; ox++ {
-					ix0 := ox*s - p
-					acc := bd[oc]
-					for cin := 0; cin < ci; cin++ {
-						wBase := (((oc*ci + cin) * k) * k) * k
-						xBase := (bn*ci + cin) * d * h * w
-						for kz := 0; kz < k; kz++ {
-							iz := iz0 + kz
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for ky := 0; ky < k; ky++ {
-								iy := iy0 + ky
-								if iy < 0 || iy >= h {
-									continue
-								}
-								rowW := wBase + (kz*k+ky)*k
-								rowX := xBase + (iz*h+iy)*w
-								for kx := 0; kx < k; kx++ {
-									ix := ix0 + kx
-									if ix < 0 || ix >= w {
-										continue
-									}
-									acc += wd[rowW+kx] * xd[rowX+ix]
-								}
-							}
-						}
-					}
-					od[outBase+(oz*ho+oy)*wo+ox] = acc
+	wMat := paramMat(&c.wMatView, c.W.Data.Data, co, ciK3)
+	out := c.fwd.get(n, co, do, ho, wo)
+	od, bd := out.Data, c.B.Data.Data
+
+	for z0 := 0; z0 < do; z0 += dz {
+		z1 := min(z0+dz, do)
+		slabVol := (z1 - z0) * ho * wo
+		cols := c.colsBuf.get(&c.scratch.cols, ciK3, n*slabVol, true)
+		im2colSlab(cols, x, k, s, p, z0, z1)
+		prod := c.prodBuf.get(&c.scratch.prod, co, n*slabVol, true)
+		tensor.MatMulInto(wMat, cols, prod) // [Cout, N·dz·Ho·Wo]
+
+		// Scatter the slab product into NCDHW order and add the bias.
+		pd := prod.Data
+		tensor.ParallelFor(co, func(oc int) {
+			for bn := 0; bn < n; bn++ {
+				src := (oc*n + bn) * slabVol
+				dst := ((bn*co+oc)*do + z0) * ho * wo
+				row := od[dst : dst+slabVol]
+				prow := pd[src : src+slabVol]
+				for i := range row {
+					row[i] = prow[i] + bd[oc]
 				}
 			}
-		}
-	})
+		})
+	}
 	return out
 }
 
-// Backward implements Layer.
-func (c *Conv3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward implements Layer by the same lowering, streamed over the same
+// depth slabs as Forward: gradW += gradOut·colsᵀ, gradB += row sums, and
+// gradX = col2im(Wᵀ·gradOut). The transposed products run through
+// tensor.MatMulTransB / tensor.MatMulTransA, so no explicit transpose is
+// ever materialized.
+func (c *Conv3D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.in
-	n, ci, d, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	do, ho, wo := grad.Dim(2), grad.Dim(3), grad.Dim(4)
-	if c.useGEMM(do, ho, wo) {
-		return Conv3DGEMMBackward(c, x, grad)
-	}
+	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
 	k, s, p := c.Kernel, c.Stride, c.Pad
-	co := c.OutChannels
-	gd, xd, wd := grad.Data, x.Data, c.W.Data.Data
-	gw, gb := c.W.Grad.Data, c.B.Grad.Data
+	do, ho, wo := gradOut.Dim(2), gradOut.Dim(3), gradOut.Dim(4)
+	ci, co := c.InChannels, c.OutChannels
+	ciK3 := ci * k * k * k
+	dz := conv3dSlabDepth(ciK3, n, do, ho, wo)
 
-	tensor.ParallelFor(co, func(oc int) {
-		acc := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * do * ho * wo
-			for i := 0; i < do*ho*wo; i++ {
-				acc += gd[base+i]
-			}
-		}
-		gb[oc] += acc
-	})
+	wMat := paramMat(&c.wMatView, c.W.Data.Data, co, ciK3)
+	gw := paramMat(&c.gwView, c.W.Grad.Data, co, ciK3) // accumulates across slabs
+	gb := c.B.Grad.Data
+	gin := c.bwd.getZero(n, ci, d, h, w) // col2imSlab scatter-adds into it
+	gd := gradOut.Data
 
-	tensor.ParallelFor(co*ci, func(job int) {
-		oc := job / ci
-		cin := job % ci
-		wBase := (((oc*ci + cin) * k) * k) * k
-		for kz := 0; kz < k; kz++ {
-			for ky := 0; ky < k; ky++ {
-				for kx := 0; kx < k; kx++ {
-					acc := 0.0
-					for bn := 0; bn < n; bn++ {
-						gBase := (bn*co + oc) * do * ho * wo
-						xBase := (bn*ci + cin) * d * h * w
-						for oz := 0; oz < do; oz++ {
-							iz := oz*s - p + kz
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for oy := 0; oy < ho; oy++ {
-								iy := oy*s - p + ky
-								if iy < 0 || iy >= h {
-									continue
-								}
-								gRow := gBase + (oz*ho+oy)*wo
-								xRow := xBase + (iz*h+iy)*w
-								for ox := 0; ox < wo; ox++ {
-									ix := ox*s - p + kx
-									if ix < 0 || ix >= w {
-										continue
-									}
-									acc += gd[gRow+ox] * xd[xRow+ix]
-								}
-							}
-						}
-					}
-					gw[wBase+(kz*k+ky)*k+kx] += acc
+	for z0 := 0; z0 < do; z0 += dz {
+		z1 := min(z0+dz, do)
+		slabVol := (z1 - z0) * ho * wo
+
+		// Reorder the gradOut slab from [N, Cout, dz·Ho·Wo] into
+		// [Cout, N·dz·Ho·Wo] and fold the bias row sums in one pass.
+		gMat := c.prodBuf.get(&c.scratch.prod, co, n*slabVol, false) // fully overwritten below
+		gm := gMat.Data
+		tensor.ParallelFor(co, func(oc int) {
+			sum := 0.0
+			for bn := 0; bn < n; bn++ {
+				src := ((bn*co+oc)*do + z0) * ho * wo
+				dst := (oc*n + bn) * slabVol
+				copy(gm[dst:dst+slabVol], gd[src:src+slabVol])
+				for _, g := range gd[src : src+slabVol] {
+					sum += g
 				}
 			}
-		}
-	})
+			gb[oc] += sum
+		})
 
-	gin := c.bwd.get(n, ci, d, h, w)
-	gi := gin.Data
-	tensor.ParallelFor(n*ci, func(job int) {
-		bn := job / ci
-		cin := job % ci
-		inBase := (bn*ci + cin) * d * h * w
-		for iz := 0; iz < d; iz++ {
-			for iy := 0; iy < h; iy++ {
-				for ix := 0; ix < w; ix++ {
-					acc := 0.0
-					for oc := 0; oc < co; oc++ {
-						wBase := (((oc*ci + cin) * k) * k) * k
-						gBase := (bn*co + oc) * do * ho * wo
-						for kz := 0; kz < k; kz++ {
-							ozNum := iz + p - kz
-							if ozNum < 0 || ozNum%s != 0 {
-								continue
-							}
-							oz := ozNum / s
-							if oz >= do {
-								continue
-							}
-							for ky := 0; ky < k; ky++ {
-								oyNum := iy + p - ky
-								if oyNum < 0 || oyNum%s != 0 {
-									continue
-								}
-								oy := oyNum / s
-								if oy >= ho {
-									continue
-								}
-								for kx := 0; kx < k; kx++ {
-									oxNum := ix + p - kx
-									if oxNum < 0 || oxNum%s != 0 {
-										continue
-									}
-									ox := oxNum / s
-									if ox >= wo {
-										continue
-									}
-									acc += wd[wBase+(kz*k+ky)*k+kx] * gd[gBase+(oz*ho+oy)*wo+ox]
-								}
-							}
-						}
-					}
-					gi[inBase+(iz*h+iy)*w+ix] = acc
-				}
-			}
-		}
-	})
+		cols := c.colsBuf.get(&c.scratch.cols, ciK3, n*slabVol, true)
+		im2colSlab(cols, x, k, s, p, z0, z1)
+		tensor.MatMulTransBInto(gMat, cols, gw)
+
+		// gradX slab: col2im(Wᵀ · gMat), scatter-added into gin.
+		gCols := c.gradColsBuf.get(&c.scratch.gradCols, ciK3, n*slabVol, true)
+		tensor.MatMulTransAInto(wMat, gMat, gCols)
+		col2imSlab(gin, gCols, k, s, p, z0, z1)
+	}
 	return gin
 }
 
@@ -402,18 +278,8 @@ func (c *ConvTranspose3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	k, s, p := c.Kernel, c.Stride, c.Pad
 	co := c.OutChannels
 	gd, xd, wd := grad.Data, x.Data, c.W.Data.Data
-	gw, gb := c.W.Grad.Data, c.B.Grad.Data
-
-	tensor.ParallelFor(co, func(oc int) {
-		acc := 0.0
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * do * ho * wo
-			for i := 0; i < do*ho*wo; i++ {
-				acc += gd[base+i]
-			}
-		}
-		gb[oc] += acc
-	})
+	gw := c.W.Grad.Data
+	biasGrad(c.B.Grad.Data, gd, n, co, do*ho*wo)
 
 	tensor.ParallelFor(ci*co, func(job int) {
 		cin := job / co

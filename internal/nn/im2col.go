@@ -2,27 +2,46 @@ package nn
 
 import "mgdiffnet/internal/tensor"
 
-// gemmBuf is a persistently held scratch matrix for the GEMM convolution
-// lowerings: backing storage grown on demand plus a cached shaped view,
-// so steady-state passes with stable shapes allocate nothing.
-type gemmBuf struct {
-	data []float64
-	view *tensor.Tensor
+// Scratch is the backing storage of the GEMM convolution lowering: the
+// column, product and gradient-column matrices. Every GEMM-lowered layer
+// owns one, and a network hands one Scratch to all of its convolutions
+// (ShareScratch), so the storage is sized by the largest layer instead of
+// the sum of all layers. Sharing is sound because nothing in the scratch
+// outlives a Forward or Backward call; it only requires that layers
+// sharing a Scratch never run at the same time.
+type Scratch struct{ cols, prod, gradCols []float64 }
+
+// scratchUser is implemented by the GEMM-lowered convolution layers.
+type scratchUser interface{ useScratch(s *Scratch) }
+
+// ShareScratch points l at s when l is a GEMM-lowered convolution;
+// other layers are left alone.
+func ShareScratch(l Layer, s *Scratch) {
+	if v, ok := l.(scratchUser); ok {
+		v.useScratch(s)
+	}
 }
 
-// get returns a [rows, cols] view over the scratch. Fresh storage is
-// already zero; a reused view is zeroed on request. Callers that pass
-// zero=false must overwrite every element.
-func (b *gemmBuf) get(rows, cols int, zero bool) *tensor.Tensor {
+// gemmBuf is one layer's cached [rows, cols] view over a Scratch slot, so
+// steady-state passes with stable shapes allocate nothing even while other
+// layers grow the shared storage underneath.
+type gemmBuf struct{ view *tensor.Tensor }
+
+// get returns a [rows, cols] view over the slot *data, growing the slot
+// only when the request exceeds it. Fresh storage is already zero; reused
+// storage holds whatever the last user of the slot left, and is zeroed on
+// request. Callers that pass zero=false must overwrite every element.
+func (b *gemmBuf) get(data *[]float64, rows, cols int, zero bool) *tensor.Tensor {
 	need := rows * cols
 	fresh := false
-	if cap(b.data) < need {
-		b.data = make([]float64, need)
-		b.view = nil
+	if cap(*data) < need {
+		*data = make([]float64, need)
 		fresh = true
 	}
 	if b.view == nil || !b.view.ShapeIs(rows, cols) {
-		b.view = tensor.FromSlice(b.data[:need], rows, cols)
+		b.view = tensor.FromSlice((*data)[:need], rows, cols)
+	} else {
+		b.view.Rebase((*data)[:need]) // the slot may have moved since the last call
 	}
 	if zero && !fresh {
 		b.view.Zero()
@@ -137,95 +156,6 @@ func col2im2DInto(out, cols *tensor.Tensor, k, stride, pad int) {
 	})
 }
 
-// gemmBackward computes the convolution gradients by GEMM lowering:
-// gradW = gradOut·colsᵀ, gradB = row sums, gradX = col2im(Wᵀ·gradOut). It
-// accumulates into the layer's parameter gradients exactly like the
-// direct Backward, reuses the layer's persistent scratch, and returns the
-// input gradient.
-func (c *Conv2D) gemmBackward(x, gradOut *tensor.Tensor) *tensor.Tensor {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ho, wo := gradOut.Dim(2), gradOut.Dim(3)
-	ci, co := c.InChannels, c.OutChannels
-	colW := n * ho * wo
-
-	// Reorder gradOut from [N, Cout, Ho, Wo] into [Cout, N·Ho·Wo]. The
-	// matrix is fully overwritten, so no zeroing is needed.
-	gMat := c.prodBuf.get(co, colW, false)
-	for bn := 0; bn < n; bn++ {
-		for oc := 0; oc < co; oc++ {
-			src := (bn*co + oc) * ho * wo
-			dst := oc*colW + bn*ho*wo
-			copy(gMat.Data[dst:dst+ho*wo], gradOut.Data[src:src+ho*wo])
-		}
-	}
-
-	// Bias gradient: row sums of gMat.
-	for oc := 0; oc < co; oc++ {
-		sum := 0.0
-		for i := 0; i < colW; i++ {
-			sum += gMat.Data[oc*colW+i]
-		}
-		c.B.Grad.Data[oc] += sum
-	}
-
-	cols := c.colsBuf.get(ci*k*k, colW, true)
-	im2col2DInto(cols, x, k, s, p)
-	// gradW accumulates in place: gw += gMat · colsᵀ, through the
-	// transpose-free kernels the 3D lowering uses.
-	gw := paramMat(&c.gwView, c.W.Grad.Data, co, ci*k*k)
-	tensor.MatMulTransBInto(gMat, cols, gw)
-
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, co, ci*k*k)
-	gCols := c.gradColsBuf.get(ci*k*k, colW, true)
-	tensor.MatMulTransAInto(wMat, gMat, gCols)
-	gin := c.bwd.getZero(n, ci, h, w)
-	col2im2DInto(gin, gCols, k, s, p)
-	return gin
-}
-
-// Conv2DGEMMBackward exposes gemmBackward for the lowering ablation bench.
-func Conv2DGEMMBackward(c *Conv2D, x, gradOut *tensor.Tensor) *tensor.Tensor {
-	return c.gemmBackward(x, gradOut)
-}
-
-// gemmForward computes the same cross-correlation as the direct loops by
-// lowering to im2col + MatMul, reusing the layer's persistent scratch.
-// Each output element accumulates its terms in a fixed ascending order
-// (tensor.MatMulInto), so per-sample results do not depend on the batch.
-func (c *Conv2D) gemmForward(x *tensor.Tensor, n, ho, wo int) *tensor.Tensor {
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	colW := n * ho * wo
-
-	cols := c.colsBuf.get(c.InChannels*k*k, colW, true)
-	im2col2DInto(cols, x, k, s, p)
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, c.OutChannels, c.InChannels*k*k)
-	prod := c.prodBuf.get(c.OutChannels, colW, true)
-	tensor.MatMulInto(wMat, cols, prod) // [Cout, N·Ho·Wo]
-
-	out := c.fwd.get(n, c.OutChannels, ho, wo)
-	od, pd, bd := out.Data, prod.Data, c.B.Data.Data
-	tensor.ParallelFor(c.OutChannels, func(oc int) {
-		rowBase := oc * colW
-		for bn := 0; bn < n; bn++ {
-			dst := (bn*c.OutChannels + oc) * ho * wo
-			src := rowBase + bn*ho*wo
-			for i := 0; i < ho*wo; i++ {
-				od[dst+i] = pd[src+i] + bd[oc]
-			}
-		}
-	})
-	return out
-}
-
-// Conv2DGEMM exposes gemmForward for the direct-vs-GEMM ablation bench.
-// It shares the layer's weights, biases and scratch; results are
-// identical to the direct loops up to floating-point summation order.
-func Conv2DGEMM(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	return c.gemmForward(x, n, c.OutSize(h), c.OutSize(w))
-}
-
 // chanMajor reorders an [N, C, R] tensor (R = flattened spatial extent)
 // into the [C, N·R] matrix layout the GEMM kernels contract over.
 func chanMajor(dst *tensor.Tensor, src []float64, n, c, r int) {
@@ -238,83 +168,17 @@ func chanMajor(dst *tensor.Tensor, src []float64, n, c, r int) {
 	}
 }
 
-// gemmForward computes the transposed convolution as the adjoint of the
-// im2col lowering: cols = W̃ᵀ·x̃ followed by a col2im scatter onto the
-// (larger) output grid. The transposed convolution is exactly the adjoint
-// of a (k, s, p) convolution from the output grid back to the input grid,
-// so the same col2im kernel serves both backprop and this forward.
-func (c *ConvTranspose2D) gemmForward(x *tensor.Tensor, n, ho, wo int) *tensor.Tensor {
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ci, co := c.InChannels, c.OutChannels
-	h, w := x.Dim(2), x.Dim(3)
-	hw := h * w
-
-	xMat := c.matBuf.get(ci, n*hw, false) // fully overwritten
-	chanMajor(xMat, x.Data, n, ci, hw)
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, ci, co*k*k)
-	cols := c.colsBuf.get(co*k*k, n*hw, true)
-	tensor.MatMulTransAInto(wMat, xMat, cols) // [Co·K·K, N·H·W]
-
-	out := c.fwd.getZero(n, co, ho, wo)
-	col2im2DInto(out, cols, k, s, p)
-	od, bd := out.Data, c.B.Data.Data
-	tensor.ParallelFor(co, func(oc int) {
-		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * ho * wo
-			for i := 0; i < ho*wo; i++ {
-				od[base+i] += bd[oc]
-			}
-		}
-	})
-	return out
-}
-
-// gemmBackward computes the transposed convolution gradients by the same
-// lowering: gradX = W̃·im2col(gradOut), gradW += x̃·im2col(gradOut)ᵀ,
-// gradB = per-channel sums.
-func (c *ConvTranspose2D) gemmBackward(x, gradOut *tensor.Tensor) *tensor.Tensor {
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	ci, co := c.InChannels, c.OutChannels
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	ho, wo := gradOut.Dim(2), gradOut.Dim(3)
-	hw := h * w
-
-	// Bias gradient.
-	gd := gradOut.Data
+// biasGrad adds to gb the per-channel sums of an [n, co, vol] output
+// gradient.
+func biasGrad(gb, gd []float64, n, co, vol int) {
 	for oc := 0; oc < co; oc++ {
 		sum := 0.0
 		for bn := 0; bn < n; bn++ {
-			base := (bn*co + oc) * ho * wo
-			for i := 0; i < ho*wo; i++ {
+			base := (bn*co + oc) * vol
+			for i := 0; i < vol; i++ {
 				sum += gd[base+i]
 			}
 		}
-		c.B.Grad.Data[oc] += sum
+		gb[oc] += sum
 	}
-
-	// im2col over gradOut with the adjoint (k, s, p) geometry yields the
-	// [Co·K·K, N·H·W] matrix both remaining gradients contract against.
-	cols := c.colsBuf.get(co*k*k, n*hw, true)
-	im2col2DInto(cols, gradOut, k, s, p)
-
-	// gradX = W̃ · cols, reordered back to NCHW.
-	wMat := paramMat(&c.wMatView, c.W.Data.Data, ci, co*k*k)
-	ginMat := c.matBuf.get(ci, n*hw, true)
-	tensor.MatMulInto(wMat, cols, ginMat)
-	gin := c.bwd.get(n, ci, h, w)
-	gi := gin.Data
-	for bn := 0; bn < n; bn++ {
-		for ch := 0; ch < ci; ch++ {
-			src := ch*(n*hw) + bn*hw
-			dst := (bn*ci + ch) * hw
-			copy(gi[dst:dst+hw], ginMat.Data[src:src+hw])
-		}
-	}
-
-	// gradW += x̃ · colsᵀ (matBuf is free again after the reorder above).
-	xMat := c.matBuf.get(ci, n*hw, false)
-	chanMajor(xMat, x.Data, n, ci, hw)
-	gw := paramMat(&c.gwView, c.W.Grad.Data, ci, co*k*k)
-	tensor.MatMulTransBInto(xMat, cols, gw)
-	return gin
 }

@@ -4,12 +4,12 @@ import "mgdiffnet/internal/tensor"
 
 // Im2Col3D unrolls the sliding windows of an NCDHW input into a
 // [Cin·K³, N·Do·Ho·Wo] matrix so that volumetric convolution becomes one
-// GEMM — the lowering behind the megavoxel Conv3D fast path. Out-of-bounds
+// GEMM — the lowering behind every Conv3D pass. Out-of-bounds
 // (padding) positions contribute zeros. For the stride-1 case the
 // innermost transfer is a single contiguous copy per output row.
 //
-// Conv3DGEMM does not materialize this matrix whole: it streams depth
-// slabs of it through a cache-resident scratch buffer (see im2colSlab).
+// Conv3D does not materialize this matrix whole: it streams depth slabs
+// of it through a cache-resident scratch buffer (see im2colSlab).
 // The full-matrix form exists for its algebraic contract — tests pair it
 // with Col2Im3D as an adjoint — and for callers that want the classical
 // one-shot lowering.
@@ -172,112 +172,11 @@ func col2imSlab(out, cols *tensor.Tensor, k, stride, pad, ozLo, ozHi int) {
 // conv3dSlabElems bounds the per-slab column matrix at 2²¹ float64s
 // (16 MiB): small enough to sit in a last-level cache slice while the GEMM
 // streams it repeatedly, large enough that slab setup is amortized. Memory
-// use of the GEMM path is O(this bound), not O(volume) — which is why
-// kernel selection never needs to consider batch size or available memory.
+// use of the lowering is O(this bound), not O(volume).
 const conv3dSlabElems = 1 << 21
 
 // conv3dSlabDepth returns how many output z-planes fit one column slab.
 func conv3dSlabDepth(ciK3, n, do, ho, wo int) int {
 	dz := conv3dSlabElems / (ciK3 * n * ho * wo)
 	return max(1, min(do, dz))
-}
-
-// Conv3DGEMM computes the same cross-correlation as the direct Conv3D
-// loops by lowering depth slabs to im2col + tensor.MatMul. It shares the
-// layer's weights and biases; results are identical up to floating-point
-// summation order. Conv3D.Forward dispatches here automatically above the
-// ConvAuto size threshold, and the function stays exported as the other
-// side of the direct-vs-GEMM ablation.
-func Conv3DGEMM(c *Conv3D, x *tensor.Tensor) *tensor.Tensor {
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	do, ho, wo := c.OutSize(d), c.OutSize(h), c.OutSize(w)
-	ciK3 := c.InChannels * k * k * k
-	co := c.OutChannels
-	dz := conv3dSlabDepth(ciK3, n, do, ho, wo)
-
-	wMat := c.W.Data.Reshape(co, ciK3)
-	out := c.fwd.get(n, co, do, ho, wo)
-	od, bd := out.Data, c.B.Data.Data
-
-	for z0 := 0; z0 < do; z0 += dz {
-		z1 := min(z0+dz, do)
-		slabVol := (z1 - z0) * ho * wo
-		cols := c.scratch(&c.colsBuf, ciK3, n*slabVol, true)
-		im2colSlab(cols, x, k, s, p, z0, z1)
-		prod := c.scratch(&c.prodBuf, co, n*slabVol, true)
-		tensor.MatMulInto(wMat, cols, prod) // [Cout, N·dz·Ho·Wo]
-
-		// Scatter the slab product into NCDHW order and add the bias.
-		pd := prod.Data
-		tensor.ParallelFor(co, func(oc int) {
-			for bn := 0; bn < n; bn++ {
-				src := (oc*n + bn) * slabVol
-				dst := ((bn*co+oc)*do + z0) * ho * wo
-				row := od[dst : dst+slabVol]
-				prow := pd[src : src+slabVol]
-				for i := range row {
-					row[i] = prow[i] + bd[oc]
-				}
-			}
-		})
-	}
-	return out
-}
-
-// Conv3DGEMMBackward computes the volumetric convolution gradients by GEMM
-// lowering: gradW = gradOut·colsᵀ, gradB = row sums, and
-// gradX = col2im(Wᵀ·gradOut), streamed over the same depth slabs as the
-// forward pass. The transposed products run through tensor.MatMulTransB /
-// tensor.MatMulTransA, so no explicit transpose is ever materialized. It
-// accumulates into the layer's parameter gradients exactly like the direct
-// Conv3D.Backward and returns the input gradient.
-func Conv3DGEMMBackward(c *Conv3D, x, gradOut *tensor.Tensor) *tensor.Tensor {
-	n, d, h, w := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	k, s, p := c.Kernel, c.Stride, c.Pad
-	do, ho, wo := gradOut.Dim(2), gradOut.Dim(3), gradOut.Dim(4)
-	ci, co := c.InChannels, c.OutChannels
-	ciK3 := ci * k * k * k
-	dz := conv3dSlabDepth(ciK3, n, do, ho, wo)
-
-	wMat := c.W.Data.Reshape(co, ciK3)
-	gw := c.gwBuf.getZero(co, ciK3) // accumulates across slabs, then adds into W.Grad
-	gb := c.B.Grad.Data
-	gin := c.bwd.getZero(n, ci, d, h, w) // col2imSlab scatter-adds into it
-	gd := gradOut.Data
-
-	for z0 := 0; z0 < do; z0 += dz {
-		z1 := min(z0+dz, do)
-		slabVol := (z1 - z0) * ho * wo
-
-		// Reorder the gradOut slab from [N, Cout, dz·Ho·Wo] into
-		// [Cout, N·dz·Ho·Wo] and fold the bias row sums in one pass.
-		gMat := c.scratch(&c.prodBuf, co, n*slabVol, false) // fully overwritten below
-		gm := gMat.Data
-		tensor.ParallelFor(co, func(oc int) {
-			sum := 0.0
-			for bn := 0; bn < n; bn++ {
-				src := ((bn*co+oc)*do + z0) * ho * wo
-				dst := (oc*n + bn) * slabVol
-				copy(gm[dst:dst+slabVol], gd[src:src+slabVol])
-				for _, g := range gd[src : src+slabVol] {
-					sum += g
-				}
-			}
-			gb[oc] += sum
-		})
-
-		cols := c.scratch(&c.colsBuf, ciK3, n*slabVol, true)
-		im2colSlab(cols, x, k, s, p, z0, z1)
-		// gradW accumulates across slabs: gw += gMat · colsᵀ.
-		tensor.MatMulTransBInto(gMat, cols, gw)
-
-		// gradX slab: col2im(Wᵀ · gMat), scatter-added into gin.
-		gCols := c.scratch(&c.gradColsBuf, ciK3, n*slabVol, true)
-		tensor.MatMulTransAInto(wMat, gMat, gCols)
-		col2imSlab(gin, gCols, k, s, p, z0, z1)
-	}
-
-	c.W.Grad.Add(gw.Reshape(co, ci, k, k, k))
-	return gin
 }

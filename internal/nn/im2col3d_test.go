@@ -43,10 +43,9 @@ func TestConv3DGEMMMatchesDirect(t *testing.T) {
 		{4, 2, 2, 2, 0, 6},
 	} {
 		c := NewConv3D(rng, "c", tc.ci, tc.co, tc.k, tc.s, tc.p)
-		c.Algo = ConvDirect
 		x := randTensor(rng, 2, tc.ci, tc.d, tc.d, tc.d)
-		direct := c.Forward(x, false)
-		gemm := Conv3DGEMM(c, x)
+		direct := Conv3DDirect(c, x)
+		gemm := c.Forward(x, false)
 		if !direct.SameShape(gemm) {
 			t.Fatalf("%+v: shapes %v vs %v", tc, direct.Shape(), gemm.Shape())
 		}
@@ -58,6 +57,9 @@ func TestConv3DGEMMMatchesDirect(t *testing.T) {
 	}
 }
 
+// The layer runs Forward(train=true) then Backward — the exact call
+// pattern the U-Net makes — and must match the oracle on all three
+// gradients.
 func TestConv3DGEMMBackwardMatchesDirect(t *testing.T) {
 	rng := NewRNG(63)
 	for _, tc := range []struct{ ci, co, k, s, p, d int }{
@@ -67,18 +69,17 @@ func TestConv3DGEMMBackwardMatchesDirect(t *testing.T) {
 		{2, 3, 2, 2, 0, 6},
 	} {
 		cDirect := NewConv3D(rng, "cd", tc.ci, tc.co, tc.k, tc.s, tc.p)
-		cDirect.Algo = ConvDirect
 		cGEMM := NewConv3D(rng, "cg", tc.ci, tc.co, tc.k, tc.s, tc.p)
 		cGEMM.W.Data.CopyFrom(cDirect.W.Data)
 		cGEMM.B.Data.CopyFrom(cDirect.B.Data)
 
 		x := randTensor(rng, 2, tc.ci, tc.d, tc.d, tc.d)
-		out := cDirect.Forward(x, true)
+		out := cGEMM.Forward(x, true)
 		gradOut := randTensor(rng, out.Shape()...)
 
 		ZeroGrads(cDirect, cGEMM)
-		gxDirect := cDirect.Backward(gradOut)
-		gxGEMM := Conv3DGEMMBackward(cGEMM, x, gradOut)
+		gxDirect := Conv3DDirectBackward(cDirect, x, gradOut)
+		gxGEMM := cGEMM.Backward(gradOut)
 
 		if !gxDirect.SameShape(gxGEMM) {
 			t.Fatalf("%+v: input grad shapes %v vs %v", tc, gxDirect.Shape(), gxGEMM.Shape())
@@ -98,56 +99,5 @@ func TestConv3DGEMMBackwardMatchesDirect(t *testing.T) {
 				t.Fatalf("%+v: bias grad %d differs", tc, i)
 			}
 		}
-	}
-}
-
-// The forced-GEMM layer must agree with the forced-direct layer through
-// the ordinary Layer interface (Forward with train=true, then Backward) —
-// the exact call pattern the U-Net makes.
-func TestConv3DAlgoDispatchEquivalence(t *testing.T) {
-	rng := NewRNG(64)
-	cDirect := NewConv3D(rng, "cd", 2, 3, 3, 1, 1)
-	cDirect.Algo = ConvDirect
-	cGEMM := NewConv3D(rng, "cg", 2, 3, 3, 1, 1)
-	cGEMM.Algo = ConvGEMM
-	cGEMM.W.Data.CopyFrom(cDirect.W.Data)
-	cGEMM.B.Data.CopyFrom(cDirect.B.Data)
-
-	x := randTensor(rng, 1, 2, 8, 8, 8)
-	yd := cDirect.Forward(x, true)
-	yg := cGEMM.Forward(x, true)
-	if d := yd.RMSE(yg); d > 1e-13 {
-		t.Fatalf("forward dispatch differs: RMSE %v", d)
-	}
-	gradOut := randTensor(rng, yd.Shape()...)
-	ZeroGrads(cDirect, cGEMM)
-	gd := cDirect.Backward(gradOut)
-	gg := cGEMM.Backward(gradOut)
-	if d := gd.RMSE(gg); d > 1e-13 {
-		t.Fatalf("backward dispatch differs: RMSE %v", d)
-	}
-}
-
-// ConvAuto must pick the direct loops below the volume threshold and the
-// GEMM lowering above it (subject to the memory cap).
-func TestConv3DAutoThreshold(t *testing.T) {
-	rng := NewRNG(65)
-	c := NewConv3D(rng, "c", 1, 1, 3, 1, 1)
-	if c.Algo != ConvAuto {
-		t.Fatalf("new layers must default to ConvAuto, got %v", c.Algo)
-	}
-	if c.useGEMM(16, 16, 16) {
-		t.Fatal("16³ volume must stay on the direct loops")
-	}
-	if !c.useGEMM(32, 32, 32) {
-		t.Fatal("32³ volume must lower to GEMM")
-	}
-	c.Algo = ConvGEMM
-	if !c.useGEMM(2, 2, 2) {
-		t.Fatal("ConvGEMM must force the lowering")
-	}
-	c.Algo = ConvDirect
-	if c.useGEMM(64, 64, 64) {
-		t.Fatal("ConvDirect must force the loops")
 	}
 }

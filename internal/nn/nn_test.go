@@ -550,8 +550,8 @@ func TestConv2DGEMMMatchesDirect(t *testing.T) {
 	} {
 		c := NewConv2D(rng, "c", tc.ci, tc.co, tc.k, tc.s, tc.p)
 		x := randTensor(rng, 2, tc.ci, tc.h, tc.h)
-		direct := c.Forward(x, false)
-		gemm := Conv2DGEMM(c, x)
+		direct := Conv2DDirect(c, x)
+		gemm := c.Forward(x, false)
 		if !direct.SameShape(gemm) {
 			t.Fatalf("%+v: shapes %v vs %v", tc, direct.Shape(), gemm.Shape())
 		}
@@ -613,12 +613,12 @@ func TestConv2DGEMMBackwardMatchesDirect(t *testing.T) {
 		cGEMM.B.Data.CopyFrom(cDirect.B.Data)
 
 		x := randTensor(rng, 2, tc.ci, tc.h, tc.h)
-		out := cDirect.Forward(x, true)
+		out := cGEMM.Forward(x, true)
 		gradOut := randTensor(rng, out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3))
 
 		ZeroGrads(cDirect, cGEMM)
-		gxDirect := cDirect.Backward(gradOut)
-		gxGEMM := Conv2DGEMMBackward(cGEMM, x, gradOut)
+		gxDirect := Conv2DDirectBackward(cDirect, x, gradOut)
+		gxGEMM := cGEMM.Backward(gradOut)
 
 		if d := gxDirect.RMSE(gxGEMM); d > 1e-12*(1+gxDirect.AbsMax()) {
 			t.Fatalf("%+v: input gradients differ by %v", tc, d)

@@ -11,9 +11,9 @@ const blockSize = 64
 // using cache-blocked loops parallelized over row or column panels —
 // whichever output axis is longer, so the wide-and-short products of the
 // im2col convolution lowering (m = Cout rows, millions of columns) still
-// fan out across workers. It is the GEMM kernel behind the im2col
-// convolution path (see nn.Conv2DGEMM, nn.Conv3DGEMM) and the
-// blocked/parallel counterpart of the naive triple loop.
+// fan out across workers. It is the GEMM kernel behind every convolution
+// layer (see nn.Conv2D, nn.Conv3D) and the blocked/parallel counterpart of
+// the naive triple loop.
 //
 // The per-element summation order is fixed (ascending p within ascending
 // p-blocks) regardless of the worker count, so results are bit-identical

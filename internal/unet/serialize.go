@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -38,11 +39,17 @@ func (u *UNet) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&s)
 }
 
-// Load reconstructs a network saved with Save.
+// Load reconstructs a network saved with Save. A malformed snapshot is an
+// error, never a panic: the architecture is checked against the weights
+// the snapshot holds before anything is allocated for it, and non-finite
+// weights or batch-norm statistics are rejected.
 func Load(r io.Reader) (*UNet, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("unet: decode snapshot: %w", err)
+	}
+	if err := s.check(); err != nil {
+		return nil, err
 	}
 	u := New(s.Cfg)
 	for i := 0; i < s.Adaptions; i++ {
@@ -76,6 +83,91 @@ func Load(r io.Reader) (*UNet, error) {
 		copy(bn.RunningVar, s.BNVars[i])
 	}
 	return u, nil
+}
+
+// check validates what New and Adapt would be asked to build against what
+// the snapshot holds. Each level and each adaptation adds parameter
+// tensors, so Depth and Adaptions are bounded by their count; the
+// architecture's tensor and scalar counts must then match the snapshot's,
+// which bounds every allocation of New by the size of the input.
+func (s *snapshot) check() error {
+	c := s.Cfg
+	switch {
+	case c.Dim != 2 && c.Dim != 3:
+		return fmt.Errorf("unet: snapshot Dim %d, want 2 or 3", c.Dim)
+	case c.Depth < 1 || c.Depth > len(s.Params):
+		return fmt.Errorf("unet: snapshot Depth %d outside [1, %d]", c.Depth, len(s.Params))
+	case c.Kernel < 1 || c.Kernel%2 == 0:
+		return fmt.Errorf("unet: snapshot Kernel %d, want odd and >= 1", c.Kernel)
+	case c.BaseFilters < 1 || c.InChannels < 1 || c.OutChannels < 1:
+		return fmt.Errorf("unet: snapshot BaseFilters %d, InChannels %d, OutChannels %d, want all >= 1", c.BaseFilters, c.InChannels, c.OutChannels)
+	case s.Adaptions < 0 || s.Adaptions > len(s.Params):
+		return fmt.Errorf("unet: snapshot Adaptions %d outside [0, %d]", s.Adaptions, len(s.Params))
+	}
+	tensors, scalars := archSize(c, s.Adaptions)
+	if tensors != len(s.Params) {
+		return fmt.Errorf("unet: snapshot has %d parameter tensors, architecture expects %d", len(s.Params), tensors)
+	}
+	total := 0
+	for i, p := range s.Params {
+		total += len(p)
+		if !finite(p) {
+			return fmt.Errorf("unet: parameter %d holds a non-finite value", i)
+		}
+	}
+	if float64(total) != scalars {
+		return fmt.Errorf("unet: snapshot parameter lengths sum to %d, architecture expects %.0f", total, scalars)
+	}
+	for _, stats := range [][][]float64{s.BNMeans, s.BNVars} {
+		for i, v := range stats {
+			if !finite(v) {
+				return fmt.Errorf("unet: batch-norm layer %d holds a non-finite running statistic", i)
+			}
+		}
+	}
+	return nil
+}
+
+// archSize counts the parameter tensors and scalars that New(c) followed
+// by adaptions Adapt calls allocates. Scalars are counted in float64 so
+// that no field value can overflow the count.
+func archSize(c Config, adaptions int) (tensors int, scalars float64) {
+	taps := math.Pow(float64(c.Kernel), float64(c.Dim))
+	conv := func(in, out, taps float64) { tensors, scalars = tensors+2, scalars+in*out*taps+out }
+	block := func(in, out float64) {
+		conv(in, out, taps)
+		if c.BatchNorm {
+			tensors, scalars = tensors+2, scalars+2*out
+		}
+	}
+	ch := func(l int) float64 { return float64(c.BaseFilters) * math.Pow(2, float64(l)) }
+	in := float64(c.InChannels)
+	for l := 0; l < c.Depth; l++ {
+		block(in, ch(l))
+		in = ch(l)
+	}
+	block(in, ch(c.Depth))
+	for l := 0; l < c.Depth; l++ {
+		conv(ch(l+1), ch(l), math.Pow(2, float64(c.Dim))) // upsampler
+		block(2*ch(l), ch(l))
+	}
+	conv(ch(0), float64(c.OutChannels), 1) // head
+	if adaptions > 0 {
+		// Adapt leaves one conv per call plus one more transpose conv.
+		for range 2*adaptions + 1 {
+			conv(ch(0), ch(0), taps)
+		}
+	}
+	return tensors, scalars
+}
+
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // SaveFile writes the network to path. The Close error is propagated: a

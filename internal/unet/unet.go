@@ -37,13 +37,6 @@ type Config struct {
 	// FinalSigmoid applies the paper's Sigmoid output activation; when
 	// false the output is linear (used in ablations).
 	FinalSigmoid bool
-	// DirectConv pins every convolution (2D and 3D) to the direct-loop
-	// kernel (the correctness oracle). When false — the default — layers
-	// select the im2col+GEMM lowering automatically (always in 2D, above
-	// the nn.ConvAuto volume threshold in 3D), which is what makes both
-	// megavoxel forward passes and high-throughput 2D serving fast. Old
-	// gob snapshots decode this as false and so pick up the fast path.
-	DirectConv bool
 	// Seed drives deterministic weight initialization.
 	Seed int64
 }
@@ -96,6 +89,11 @@ type UNet struct {
 
 	// caches for Backward
 	skipChannels []int
+
+	// scratch backs the GEMM lowering of every convolution in the
+	// network. They run one at a time and keep nothing in it between
+	// calls, so one store sized by the largest layer serves them all.
+	scratch nn.Scratch
 
 	// reuse mirrors nn.SetBufferReuse across the constituent layers and
 	// additionally recycles the network-level scratch below: the per-level
@@ -188,29 +186,25 @@ func (u *UNet) SetBufferReuse(on bool) {
 }
 
 func (u *UNet) newConv(name string, in, out, k, s, p int) nn.Layer {
+	var c nn.Layer
 	if u.Cfg.Dim == 2 {
-		c := nn.NewConv2D(u.rng, name, in, out, k, s, p)
-		if u.Cfg.DirectConv {
-			c.Algo = nn.ConvDirect
-		}
-		return c
+		c = nn.NewConv2D(u.rng, name, in, out, k, s, p)
+	} else {
+		c = nn.NewConv3D(u.rng, name, in, out, k, s, p)
 	}
-	c := nn.NewConv3D(u.rng, name, in, out, k, s, p)
-	if u.Cfg.DirectConv {
-		c.Algo = nn.ConvDirect
-	}
+	nn.ShareScratch(c, &u.scratch)
 	return c
 }
 
 func (u *UNet) newConvT(name string, in, out, k, s, p int) nn.Layer {
+	var c nn.Layer
 	if u.Cfg.Dim == 2 {
-		c := nn.NewConvTranspose2D(u.rng, name, in, out, k, s, p)
-		if u.Cfg.DirectConv {
-			c.Algo = nn.ConvDirect
-		}
-		return c
+		c = nn.NewConvTranspose2D(u.rng, name, in, out, k, s, p)
+	} else {
+		c = nn.NewConvTranspose3D(u.rng, name, in, out, k, s, p)
 	}
-	return nn.NewConvTranspose3D(u.rng, name, in, out, k, s, p)
+	nn.ShareScratch(c, &u.scratch)
+	return c
 }
 
 func (u *UNet) newUp(name string, in, out int) nn.Layer {
@@ -300,9 +294,10 @@ func (u *UNet) checkInput(x *tensor.Tensor) {
 // Backward are cached inside the constituent layers.
 //
 // Forward is not safe for concurrent calls on a shared network even with
-// train=false: the convolution layers reuse per-layer GEMM scratch
-// buffers (see nn.Conv2D/nn.Conv3D). Use Clone to give each goroutine its
-// own replica, as internal/dist and internal/serve do.
+// train=false: the convolution layers share the network's GEMM scratch
+// (see nn.ShareScratch). Use Clone, which builds a network with its own
+// scratch, to give each goroutine its own replica, as internal/dist and
+// internal/serve do.
 func (u *UNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	u.checkInput(x)
 	skips := u.skips

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"mgdiffnet/internal/nn"
@@ -243,45 +244,63 @@ func TestCloneProducesIdenticalOutputs(t *testing.T) {
 	}
 }
 
-// Above the nn.ConvAuto volume threshold the 3D network switches to the
-// im2col+GEMM lowering; DirectConv pins the direct-loop oracle. The two
-// must agree to floating-point roundoff through a full forward and
-// backward pass — the whole-network version of the kernel-level
-// equivalence tests in internal/nn.
-func TestUNet3DGEMMLoweringMatchesDirectConv(t *testing.T) {
-	mk := func(direct bool) *UNet {
-		cfg := DefaultConfig(3)
+// TestClonesKeepScratchIsolated pins that every Clone owns its GEMM
+// scratch: two clones of a 2D and of a 3D network, fed different inputs
+// at different resolutions, run Forward+Backward at the same time, and
+// each matches a serial run bit for bit. Under -race any storage the
+// clones still shared would also be reported as a data race.
+func TestClonesKeepScratchIsolated(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		cfg := DefaultConfig(dim)
 		cfg.BaseFilters = 2
-		cfg.Depth = 1
-		cfg.Seed = 77
-		cfg.DirectConv = direct
-		return New(cfg)
-	}
-	uDirect, uGEMM := mk(true), mk(false)
-	rng := rand.New(rand.NewSource(78))
-	// 32³ crosses the GEMM threshold for the full-resolution layers.
-	x := randInput(rng, 1, 1, 32, 32, 32)
-
-	yd := uDirect.Forward(x, true)
-	yg := uGEMM.Forward(x, true)
-	if d := yd.RMSE(yg); d > 1e-12 {
-		t.Fatalf("forward passes differ: RMSE %v", d)
-	}
-
-	g := tensor.New(yd.Shape()...)
-	for i := range g.Data {
-		g.Data[i] = rng.NormFloat64()
-	}
-	nn.ZeroGrads(uDirect, uGEMM)
-	gd := uDirect.Backward(g)
-	gg := uGEMM.Backward(g.Clone())
-	if d := gd.RMSE(gg); d > 1e-11 {
-		t.Fatalf("input gradients differ: RMSE %v", d)
-	}
-	pd, pg := uDirect.Params(), uGEMM.Params()
-	for i := range pd {
-		if d := pd[i].Grad.RMSE(pg[i].Grad); d > 1e-11*(1+pd[i].Grad.AbsMax()) {
-			t.Fatalf("param %s gradient differs: RMSE %v", pd[i].Name, d)
+		cfg.Depth = 2
+		u := New(cfg)
+		u.Adapt() // refinement layers draw on the same scratch
+		rng := rand.New(rand.NewSource(int64(dim)))
+		var xs, gs []*tensor.Tensor
+		for _, res := range []int{8, 16} {
+			shape := []int{2, 1, res, res}
+			if dim == 3 {
+				shape = []int{1, 1, res, res, res}
+			}
+			x := randInput(rng, shape...)
+			xs, gs = append(xs, x), append(gs, randInput(rng, x.Shape()...))
+		}
+		pass := func(n *UNet, i int) []*tensor.Tensor {
+			y := n.Forward(xs[i], true).Clone()
+			nn.ZeroGrads(n)
+			out := []*tensor.Tensor{y, n.Backward(gs[i]).Clone()}
+			for _, p := range n.Params() {
+				out = append(out, p.Grad.Clone())
+			}
+			return out
+		}
+		var want [][]*tensor.Tensor
+		for i := range xs {
+			want = append(want, pass(u.Clone(), i))
+		}
+		got := make([][]*tensor.Tensor, len(xs))
+		clones := []*UNet{u.Clone(), u.Clone()}
+		var wg sync.WaitGroup
+		for i := range clones {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 3 {
+					got[i] = pass(clones[i], i)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range want {
+			for j := range want[i] {
+				for k := range want[i][j].Data {
+					if want[i][j].Data[k] != got[i][j].Data[k] {
+						t.Fatalf("%dD clone %d tensor %d element %d: concurrent %v, serial %v",
+							dim, i, j, k, got[i][j].Data[k], want[i][j].Data[k])
+					}
+				}
+			}
 		}
 	}
 }
