@@ -72,7 +72,8 @@ serve-smoke:
 
 # Run the strong-scaling benchmarks (Figure 9: allreduce ablation +
 # data-parallel epoch sweep), the bucketed comm/compute-overlap ablation,
-# the 2D/3D direct-vs-GEMM lowering ablations, the distributed Half-V
+# the 2D/3D direct-vs-GEMM lowering ablations, the GEMM kernels on the
+# conv-lowering shapes (GFLOP/s), the distributed Half-V
 # stage (multigrid schedule through the data-parallel backend), and the
 # serving-throughput acceptance bench (batched engine vs sequential
 # per-request forwards), and the serving-overload bench (goodput/p99
@@ -80,7 +81,7 @@ serve-smoke:
 # save them as JSON to extend the perf trajectory; the raw
 # `go test -bench` text is kept alongside.
 bench:
-	$(GO) test -run '^$$' -bench 'Figure9|BucketedAllreduceOverlap|AblationConv|DistHalfVStage|ServeThroughput|ServeOverload' -benchmem -timeout 30m . | tee BENCH_raw.txt
+	$(GO) test -run '^$$' -bench 'Figure9|BucketedAllreduceOverlap|AblationConv|MatMul|DistHalfVStage|ServeThroughput|ServeOverload' -benchmem -timeout 30m . | tee BENCH_raw.txt
 	awk 'BEGIN { print "[" } \
 	  /^Benchmark/ { \
 	    if (n++) printf(",\n"); \

@@ -600,7 +600,60 @@ func BenchmarkAblationConv3DBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul compares the blocked parallel GEMM with the naive loop.
+// BenchmarkAblationConvTranspose3D compares the direct ConvTranspose3D
+// loops (the test oracle) against the GEMM lowering the layer runs, forward
+// and backward, in the U-Net's two geometries: the k2 s2 upsampler from
+// 16³ to 32³ and Adapt's k3 s1 refinement layer at 32³. <N> in res<N> is
+// the output extent.
+func BenchmarkAblationConvTranspose3D(b *testing.B) {
+	rng := nn.NewRNG(54)
+	for _, g := range []struct {
+		name       string
+		k, s, p, d int
+	}{{"k2s2", 2, 2, 0, 16}, {"k3s1", 3, 1, 1, 32}} {
+		c := nn.NewConvTranspose3D(rng, "t", 4, 4, g.k, g.s, g.p)
+		x := tensor.New(1, 4, g.d, g.d, g.d)
+		for i := range x.Data {
+			x.Data[i] = float64(i%13) * 0.1
+		}
+		out := c.Forward(x, true)
+		gradOut := tensor.New(out.Shape()...)
+		for i := range gradOut.Data {
+			gradOut.Data[i] = float64(i%23) * 0.03
+		}
+		res := out.Dim(2)
+		b.Run(fmt.Sprintf("%s/fwd/res%d/Direct", g.name, res), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nn.ConvTranspose3DDirect(c, x)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/fwd/res%d/Im2colGEMM", g.name, res), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.Forward(x, false)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/bwd/res%d/Direct", g.name, res), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nn.ZeroGrads(c)
+				nn.ConvTranspose3DDirectBackward(c, x, gradOut)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/bwd/res%d/Im2colGEMM", g.name, res), func(b *testing.B) {
+			c.Forward(x, true)
+			for i := 0; i < b.N; i++ {
+				nn.ZeroGrads(c)
+				c.Backward(gradOut)
+			}
+		})
+	}
+}
+
+// BenchmarkMatMul compares the blocked parallel GEMM with the naive loop
+// on a square product, then times the kernels on the shapes the
+// convolution lowering feeds them, in GFLOP/s: the plain product [m, k]·[k, n]
+// of a Conv3D forward slab (m = Cout, k = Cin·K³, n = voxels) and the
+// transposed-A product Wᵀ·g of its input gradient and the transposed-B
+// product g·colsᵀ of its weight gradient.
 func BenchmarkMatMul(b *testing.B) {
 	const n = 192
 	a := tensor.New(n, n)
@@ -618,6 +671,41 @@ func BenchmarkMatMul(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulNaive(a, c)
 		}
+	})
+	fill := func(t *tensor.Tensor) *tensor.Tensor {
+		for i := range t.Data {
+			t.Data[i] = float64(i%13) * 0.1
+		}
+		return t
+	}
+	gflops := func(b *testing.B, m, k, n int) {
+		b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	}
+	for _, s := range []struct{ m, k, n int }{{4, 27, 65536}, {4, 216, 18432}, {8, 108, 16384}} {
+		a, bb, out := fill(tensor.New(s.m, s.k)), fill(tensor.New(s.k, s.n)), tensor.New(s.m, s.n)
+		b.Run(fmt.Sprintf("Into/%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulInto(a, bb, out)
+			}
+			gflops(b, s.m, s.k, s.n)
+		})
+	}
+	// Wᵀ·g for W [4, 216] and g [4, 18432]: a [216, 18432] product.
+	w, g, out := fill(tensor.New(4, 216)), fill(tensor.New(4, 18432)), tensor.New(216, 18432)
+	b.Run("TransAInto/216x4x18432", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.MatMulTransAInto(w, g, out)
+		}
+		gflops(b, 216, 4, 18432)
+	})
+	// The weight gradient g·colsᵀ: [8, 16384]·[108, 16384]ᵀ, a tiny output
+	// over a long contraction (the chunked path).
+	g8, cols, gw := fill(tensor.New(8, 16384)), fill(tensor.New(108, 16384)), tensor.New(8, 108)
+	b.Run("TransBInto/8x16384x108", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.MatMulTransBInto(g8, cols, gw)
+		}
+		gflops(b, 8, 16384, 108)
 	})
 }
 

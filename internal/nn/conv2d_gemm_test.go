@@ -178,7 +178,7 @@ func TestConv2DGEMMBatchInvariance(t *testing.T) {
 }
 
 // TestSharedScratchMatchesPrivate pins the soundness of ShareScratch:
-// layers of different sizes (2D, transposed and 3D) take turns on one
+// layers of different sizes (2D and 3D, plain and transposed) take turns on one
 // Scratch — the small ones running again after a large one grew the
 // storage under their cached views — and every forward output and
 // gradient is bit-identical to twins that own their scratch.
@@ -190,6 +190,7 @@ func TestSharedScratchMatchesPrivate(t *testing.T) {
 			NewConvTranspose2D(rng, "b", 3, 4, 2, 2, 0),
 			NewConv3D(rng, "c", 2, 5, 3, 1, 1),
 			NewConv2D(rng, "d", 4, 6, 5, 1, 2),
+			NewConvTranspose3D(rng, "e", 2, 3, 3, 1, 1),
 		}
 	}
 	inputs := []*tensor.Tensor{
@@ -197,6 +198,7 @@ func TestSharedScratchMatchesPrivate(t *testing.T) {
 		randTensor(NewRNG(33), 2, 3, 5, 5),
 		randTensor(NewRNG(34), 1, 2, 6, 6, 6),
 		randTensor(NewRNG(35), 2, 4, 16, 16),
+		randTensor(NewRNG(36), 2, 2, 4, 5, 3),
 	}
 	run := func(ls []Layer) (outs []*tensor.Tensor) {
 		for pass := 0; pass < 2; pass++ {
@@ -232,6 +234,8 @@ func TestSharedScratchMatchesPrivate(t *testing.T) {
 		case *ConvTranspose2D:
 			v = c.colsBuf.view
 		case *Conv3D:
+			v = c.colsBuf.view
+		case *ConvTranspose3D:
 			v = c.colsBuf.view
 		}
 		if &v.Data[0] != &s.cols[0] {

@@ -109,8 +109,11 @@ func Col2Im3D(cols *tensor.Tensor, n, ci, d, h, w, k, stride, pad int) *tensor.T
 // The loop is organized in gather form — one job per destination row
 // (sample, channel, iz, iy) — so every worker owns disjoint output rows
 // and the job count scales with the volume rather than the channel count.
-// Per destination element the (kz, ky, kx, ox) accumulation order is
-// fixed, so results are independent of the worker count.
+// Per destination element the terms arrive in a fixed order: kz
+// descending, i.e. oz ascending, then ky and kx ascending. A slab seam
+// only splits that sequence between two calls, so the sum is independent
+// of the slab depth (and hence of the batch size that sets it) as well as
+// of the worker count.
 func col2imSlab(out, cols *tensor.Tensor, k, stride, pad, ozLo, ozHi int) {
 	n, ci, d, h, w := out.Dim(0), out.Dim(1), out.Dim(2), out.Dim(3), out.Dim(4)
 	ho := (h+2*pad-k)/stride + 1
@@ -126,7 +129,7 @@ func col2imSlab(out, cols *tensor.Tensor, k, stride, pad, ozLo, ozHi int) {
 		cin := rest % ci
 		bn := rest / ci
 		dstRow := ((bn*ci+cin)*d+iz)*h*w + iy*w
-		for kz := 0; kz < k; kz++ {
+		for kz := k - 1; kz >= 0; kz-- {
 			ozNum := iz + pad - kz
 			if ozNum < 0 || ozNum%stride != 0 {
 				continue
@@ -164,6 +167,98 @@ func col2imSlab(out, cols *tensor.Tensor, k, stride, pad, ozLo, ozHi int) {
 						od[dstRow+ix] += cd[srcRow+ox]
 					}
 				}
+			}
+		}
+	})
+}
+
+// slabLowering is the depth-slab GEMM lowering state that Conv3D and
+// ConvTranspose3D share: views over a Scratch the layer may share with
+// other layers (see ShareScratch), reused across passes, and cached views
+// of the weight matrix and its gradient. A convolution runs convSlab
+// forward and adjointSlab backward; a transposed convolution, being the
+// adjoint of a convolution from its output grid to its input grid, runs
+// them the other way round.
+type slabLowering struct {
+	scratch                      *Scratch
+	colsBuf, matBuf, gradColsBuf gemmBuf
+	wMatView, gwView             *tensor.Tensor
+}
+
+func (l *slabLowering) useScratch(s *Scratch) { l.scratch = s }
+
+// convSlab computes output depth slab [z0, z1) of the (k, s, p)
+// convolution of x with the [rows, Cin·K³] matrix wMat: im2col of the
+// slab, one GEMM, and the product scattered into out's NCDHW planes plus
+// bias (none when bias is nil). It returns the slab's column matrix,
+// valid until the layer's next scratch use.
+func (l *slabLowering) convSlab(out, x, wMat *tensor.Tensor, bias []float64, k, s, p, z0, z1 int) *tensor.Tensor {
+	cols := l.colsBuf.get(&l.scratch.cols, wMat.Dim(1), out.Dim(0)*(z1-z0)*out.Dim(3)*out.Dim(4), true)
+	im2colSlab(cols, x, k, s, p, z0, z1)
+	prod := l.matBuf.get(&l.scratch.prod, wMat.Dim(0), cols.Dim(1), true)
+	tensor.MatMulInto(wMat, cols, prod)
+	scatterSlab(out, prod, bias, z0, z1)
+	return cols
+}
+
+// adjointSlab is convSlab's adjoint for depth slab [z0, z1) of g, an
+// NCDHW tensor on the convolution's output grid: g's slab is gathered
+// channel-major into gMat (its per-channel sums added to gb unless gb is
+// nil), and col2im scatter-adds wMatᵀ·gMat onto out, on the input grid.
+// It returns gMat, valid until the layer's next scratch use.
+func (l *slabLowering) adjointSlab(out, g, wMat *tensor.Tensor, gb []float64, k, s, p, z0, z1 int) *tensor.Tensor {
+	slabCols := g.Dim(0) * (z1 - z0) * g.Dim(3) * g.Dim(4)
+	gMat := l.matBuf.get(&l.scratch.prod, wMat.Dim(0), slabCols, false) // fully overwritten
+	gatherSlab(gMat, g, gb, z0, z1)
+	gCols := l.gradColsBuf.get(&l.scratch.gradCols, wMat.Dim(1), slabCols, true)
+	tensor.MatMulTransAInto(wMat, gMat, gCols)
+	col2imSlab(out, gCols, k, s, p, z0, z1)
+	return gMat
+}
+
+// gatherSlab copies depth slab [z0, z1) of an [N, C, D, H, W] tensor into
+// the [C, N·(z1−z0)·H·W] channel-major matrix the GEMM kernels contract
+// over, adding each channel's sum to gb[c] unless gb is nil.
+func gatherSlab(dst, src *tensor.Tensor, gb []float64, z0, z1 int) {
+	n, c, d, plane := src.Dim(0), src.Dim(1), src.Dim(2), src.Dim(3)*src.Dim(4)
+	slabVol := (z1 - z0) * plane
+	dd, sd := dst.Data, src.Data
+	tensor.ParallelFor(c, func(ch int) {
+		sum := 0.0
+		for bn := 0; bn < n; bn++ {
+			s := ((bn*c+ch)*d + z0) * plane
+			row := sd[s : s+slabVol]
+			copy(dd[(ch*n+bn)*slabVol:], row)
+			if gb != nil {
+				for _, v := range row {
+					sum += v
+				}
+			}
+		}
+		if gb != nil {
+			gb[ch] += sum
+		}
+	})
+}
+
+// scatterSlab is gatherSlab's inverse: it writes a [C, N·(z1−z0)·H·W]
+// matrix into depth slab [z0, z1) of an [N, C, D, H, W] tensor, adding
+// bias[c] to channel c unless bias is nil.
+func scatterSlab(dst, src *tensor.Tensor, bias []float64, z0, z1 int) {
+	n, c, d, plane := dst.Dim(0), dst.Dim(1), dst.Dim(2), dst.Dim(3)*dst.Dim(4)
+	slabVol := (z1 - z0) * plane
+	dd, sd := dst.Data, src.Data
+	tensor.ParallelFor(c, func(ch int) {
+		for bn := 0; bn < n; bn++ {
+			o := ((bn*c+ch)*d + z0) * plane
+			row := dd[o : o+slabVol]
+			srow := sd[(ch*n+bn)*slabVol:][:slabVol]
+			if bias == nil {
+				copy(row, srow)
+				continue
+			}
+			for i := range row {
+				row[i] = srow[i] + bias[ch]
 			}
 		}
 	})

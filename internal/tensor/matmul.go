@@ -72,12 +72,15 @@ func checkInto(c *Tensor, m, n int, who string) {
 // with cache-blocked loops. B and C have row stride n; A is addressed as
 // ad[i*aSI + p*aSP], so the same kernel serves the plain product
 // (aSI = k, aSP = 1) and the transposed-A product over a [k, m] operand
-// (aSI = 1, aSP = m) without materializing any transpose. The micro-kernel
-// is register-blocked four output rows deep, so every B row streamed from
-// memory feeds four C rows — the difference between memory-bound and
-// compute-bound for the wide, short products of the im2col convolution
-// lowering. Each C element accumulates its p-terms in ascending order, so
-// results are independent of the blocking and of the parallel partition.
+// (aSI = 1, aSP = m) without materializing any transpose.
+//
+// The micro-kernel holds a 2-row × 4-p block of A in registers while it
+// streams over j: each pass loads two C elements and four B elements and
+// stores two C elements for eight multiply-adds, half the memory traffic
+// per multiply-add of a one-p-at-a-time loop. Every C element still adds
+// its p-terms one at a time, in ascending p, onto its running value, so
+// results are independent of the blocking, of which remainder path a row
+// or p-step takes, and of the parallel partition.
 func matmulTile(ad, bd, cd []float64, k, n, aSI, aSP, iLo, iHi, jLo, jHi int) {
 	for i0 := iLo; i0 < iHi; i0 += blockSize {
 		i1 := min(i0+blockSize, iHi)
@@ -86,38 +89,57 @@ func matmulTile(ad, bd, cd []float64, k, n, aSI, aSP, iLo, iHi, jLo, jHi int) {
 			for j0 := jLo; j0 < jHi; j0 += blockSize {
 				j1 := min(j0+blockSize, jHi)
 				i := i0
-				for ; i+4 <= i1; i += 4 {
+				for ; i+2 <= i1; i += 2 {
 					c0 := cd[i*n+j0 : i*n+j1]
-					c1 := cd[(i+1)*n+j0 : (i+1)*n+j1]
-					c2 := cd[(i+2)*n+j0 : (i+2)*n+j1]
-					c3 := cd[(i+3)*n+j0 : (i+3)*n+j1]
-					for p := p0; p < p1; p++ {
-						av0 := ad[i*aSI+p*aSP]
-						av1 := ad[(i+1)*aSI+p*aSP]
-						av2 := ad[(i+2)*aSI+p*aSP]
-						av3 := ad[(i+3)*aSI+p*aSP]
-						bRow := bd[p*n+j0 : p*n+j1]
+					c1 := cd[(i+1)*n+j0 : (i+1)*n+j1][:len(c0)]
+					a0, a1 := i*aSI, (i+1)*aSI
+					p := p0
+					for ; p+4 <= p1; p += 4 {
+						a00, a01, a02, a03 := ad[a0+p*aSP], ad[a0+(p+1)*aSP], ad[a0+(p+2)*aSP], ad[a0+(p+3)*aSP]
+						a10, a11, a12, a13 := ad[a1+p*aSP], ad[a1+(p+1)*aSP], ad[a1+(p+2)*aSP], ad[a1+(p+3)*aSP]
+						b0 := bd[p*n+j0 : p*n+j1][:len(c0)]
+						b1 := bd[(p+1)*n+j0 : (p+1)*n+j1][:len(c0)]
+						b2 := bd[(p+2)*n+j0 : (p+2)*n+j1][:len(c0)]
+						b3 := bd[(p+3)*n+j0 : (p+3)*n+j1][:len(c0)]
+						for j := range c0 {
+							bv0, bv1, bv2, bv3 := b0[j], b1[j], b2[j], b3[j]
+							c0[j] = c0[j] + a00*bv0 + a01*bv1 + a02*bv2 + a03*bv3
+							c1[j] = c1[j] + a10*bv0 + a11*bv1 + a12*bv2 + a13*bv3
+						}
+					}
+					for ; p < p1; p++ {
+						av0, av1 := ad[a0+p*aSP], ad[a1+p*aSP]
+						bRow := bd[p*n+j0 : p*n+j1][:len(c0)]
 						for j, bv := range bRow {
 							c0[j] += av0 * bv
 							c1[j] += av1 * bv
-							c2[j] += av2 * bv
-							c3[j] += av3 * bv
 						}
 					}
 				}
-				// Scalar remainder rows: no zero-skip here — the 4-row
-				// path above multiplies unconditionally, and which path
-				// a row takes depends on the parallel partition, so
-				// skipping 0·x terms (0·Inf = NaN!) only in one path
-				// would make results worker-count-dependent for
-				// non-finite operands.
-				for ; i < i1; i++ {
-					cRow := cd[i*n+j0 : i*n+j1]
-					for p := p0; p < p1; p++ {
-						av := ad[i*aSI+p*aSP]
-						bRow := bd[p*n+j0 : p*n+j1]
+				// The odd row left over: the same per-element order. No
+				// zero-skip anywhere — which path a row takes depends on the
+				// parallel partition, so skipping 0·x terms (0·Inf = NaN!)
+				// in one path only would make results worker-count-dependent
+				// for non-finite operands.
+				if i < i1 {
+					c0 := cd[i*n+j0 : i*n+j1]
+					a0 := i * aSI
+					p := p0
+					for ; p+4 <= p1; p += 4 {
+						a00, a01, a02, a03 := ad[a0+p*aSP], ad[a0+(p+1)*aSP], ad[a0+(p+2)*aSP], ad[a0+(p+3)*aSP]
+						b0 := bd[p*n+j0 : p*n+j1][:len(c0)]
+						b1 := bd[(p+1)*n+j0 : (p+1)*n+j1][:len(c0)]
+						b2 := bd[(p+2)*n+j0 : (p+2)*n+j1][:len(c0)]
+						b3 := bd[(p+3)*n+j0 : (p+3)*n+j1][:len(c0)]
+						for j := range c0 {
+							c0[j] = c0[j] + a00*b0[j] + a01*b1[j] + a02*b2[j] + a03*b3[j]
+						}
+					}
+					for ; p < p1; p++ {
+						av := ad[a0+p*aSP]
+						bRow := bd[p*n+j0 : p*n+j1][:len(c0)]
 						for j, bv := range bRow {
-							cRow[j] += av * bv
+							c0[j] += av * bv
 						}
 					}
 				}
@@ -217,9 +239,16 @@ func MatMulTransBInto(a, b, c *Tensor) {
 // matmulTransBTile accumulates the [iLo,iHi)×[jLo,jHi) tile of C += A·Bᵀ,
 // contracting over p in [pLo, pHi). Both operands are walked along
 // contiguous rows; the p-block loop sits innermost of the tile loops so
-// each C element accumulates its partial dot products in ascending-p
-// order. The destination slice cd uses row stride n and is indexed from
-// its own origin (callers pass a sub-buffer for per-chunk partials).
+// each C element adds one partial dot product per blockSize-long p-block,
+// each summed from zero in ascending p, in ascending block order. The
+// destination slice cd uses row stride n and is indexed from its own
+// origin (callers pass a sub-buffer for per-chunk partials).
+//
+// The micro-kernel computes a 2×2 block of C at once: four independent
+// accumulators instead of one latency-bound dot product, and each loaded
+// A and B element feeds two of them. An odd last row or column pairs with
+// itself and its duplicate result is dropped, so every element takes the
+// same path and keeps its summation order.
 func matmulTransBTile(ad, bd, cd []float64, k, n, iLo, iHi, jLo, jHi, pLo, pHi int) {
 	for i0 := iLo; i0 < iHi; i0 += blockSize {
 		i1 := min(i0+blockSize, iHi)
@@ -227,15 +256,32 @@ func matmulTransBTile(ad, bd, cd []float64, k, n, iLo, iHi, jLo, jHi, pLo, pHi i
 			j1 := min(j0+blockSize, jHi)
 			for p0 := pLo; p0 < pHi; p0 += blockSize {
 				p1 := min(p0+blockSize, pHi)
-				for i := i0; i < i1; i++ {
-					aRow := ad[i*k+p0 : i*k+p1]
-					for j := j0; j < j1; j++ {
-						bRow := bd[j*k+p0 : j*k+p1]
-						s := 0.0
-						for p, av := range aRow {
-							s += av * bRow[p]
+				for i := i0; i < i1; i += 2 {
+					i2 := min(i+1, i1-1)
+					a0 := ad[i*k+p0 : i*k+p1]
+					a1 := ad[i2*k+p0 : i2*k+p1][:len(a0)]
+					for j := j0; j < j1; j += 2 {
+						j2 := min(j+1, j1-1)
+						b0 := bd[j*k+p0 : j*k+p1][:len(a0)]
+						b1 := bd[j2*k+p0 : j2*k+p1][:len(a0)]
+						var s00, s01, s10, s11 float64
+						for p, av0 := range a0 {
+							av1, bv0, bv1 := a1[p], b0[p], b1[p]
+							s00 += av0 * bv0
+							s01 += av0 * bv1
+							s10 += av1 * bv0
+							s11 += av1 * bv1
 						}
-						cd[i*n+j] += s
+						cd[i*n+j] += s00
+						if j2 != j {
+							cd[i*n+j2] += s01
+						}
+						if i2 != i {
+							cd[i2*n+j] += s10
+							if j2 != j {
+								cd[i2*n+j2] += s11
+							}
+						}
 					}
 				}
 			}

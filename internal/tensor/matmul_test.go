@@ -75,33 +75,147 @@ func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two tensors hold the same float64 bit patterns,
+// NaN payloads included.
+func sameBits(t *testing.T, name string, got, want *Tensor) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d not bit-identical: %v vs %v", name, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // The GEMM kernels must give bit-identical results at every parallelism
 // setting: the dist package's replica-consistency guarantees rest on it.
+// Non-finite operands (0·Inf = NaN, Inf−Inf) must agree too, so every
+// remainder path multiplies exactly like the blocked one. The shapes split
+// both ways: the first product is partitioned by columns, the second by
+// rows, with odd row counts per worker so rows change paths.
 func TestMatMulDeterministicAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	a := randMat(rng, 9, 130)
-	b := randMat(rng, 130, 400)
-	bt := explicitTranspose(b)
-	at := explicitTranspose(a)
+	for _, tc := range []struct{ m, k, n int }{{9, 130, 400}, {301, 70, 5}} {
+		a := randMat(rng, tc.m, tc.k)
+		b := randMat(rng, tc.k, tc.n)
+		// Zeros in A meet infinities in B, plus a NaN, on rows both at a
+		// worker boundary and inside one, at a p inside a 4-p block and at
+		// the last p, which the remainder loops take.
+		for _, i := range []int{0, tc.m / 2, tc.m - 1} {
+			for _, p := range []int{3, tc.k - 1} {
+				a.Data[i*tc.k+p] = 0
+				b.Data[p*tc.n+(i+p)%tc.n] = math.Inf(1)
+			}
+			b.Data[5*tc.n+(i+1)%tc.n] = math.Inf(-1)
+		}
+		a.Data[tc.k+7] = math.NaN()
+		bt := explicitTranspose(b)
+		at := explicitTranspose(a)
 
+		prev := SetParallelism(1)
+		serial := MatMul(a, b)
+		serialTA := MatMulTransA(at, b)
+		serialTB := MatMulTransB(a, bt)
+		for _, p := range []int{2, 4} {
+			SetParallelism(p)
+			sameBits(t, "MatMul", MatMul(a, b), serial)
+			sameBits(t, "MatMulTransA", MatMulTransA(at, b), serialTA)
+			sameBits(t, "MatMulTransB", MatMulTransB(a, bt), serialTB)
+		}
+		SetParallelism(prev)
+	}
+}
+
+// refMatMulInto spells out the summation order of matmulTile: every C
+// element adds its p-terms one at a time, in ascending p, onto its running
+// value. at(i, p) reads op(A).
+func refMatMulInto(at func(i, p int) float64, k int, b, c *Tensor) {
+	m, n := c.Dim(0), c.Dim(1)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := c.Data[i*n+j]
+			for p := 0; p < k; p++ {
+				s += at(i, p) * b.Data[p*n+j]
+			}
+			c.Data[i*n+j] = s
+		}
+	}
+}
+
+// refMatMulTransBInto spells out the summation order of MatMulTransBInto:
+// each blockSize-long p-block is summed from zero in ascending p; the block
+// sums go straight onto C, or, for a small output over a long contraction,
+// onto a per-chunk partial that starts from zero and is then added to C,
+// chunks in ascending order.
+func refMatMulTransBInto(a, b, c *Tensor) {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(0)
+	chunkLen := 0
+	if m*n <= 1<<13 && k > transBChunkK {
+		chunkLen = transBChunkK
+		if k > 256*chunkLen {
+			chunkLen = (k + 255) / 256
+		}
+	}
+	blockDot := func(i, j, p0, p1 int) float64 {
+		s := 0.0
+		for p := p0; p < p1; p++ {
+			s += a.Data[i*k+p] * b.Data[j*k+p]
+		}
+		return s
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := c.Data[i*n+j]
+			if chunkLen == 0 {
+				for p0 := 0; p0 < k; p0 += blockSize {
+					s += blockDot(i, j, p0, min(p0+blockSize, k))
+				}
+			} else {
+				for q0 := 0; q0 < k; q0 += chunkLen {
+					part := 0.0
+					for p0, q1 := q0, min(q0+chunkLen, k); p0 < q1; p0 += blockSize {
+						part += blockDot(i, j, p0, min(p0+blockSize, q1))
+					}
+					s += part
+				}
+			}
+			c.Data[i*n+j] = s
+		}
+	}
+}
+
+// The register-blocked micro-kernels reorder no sums: each Into product
+// equals its reference loop exactly (==, not a tolerance), onto a nonzero
+// destination, at every worker count. The shapes reach every remainder
+// path: odd m and m mod 4 ≠ 0, k mod 4 ≠ 0 within a p-block, n not a
+// multiple of 64, row and column partitions, and the chunked contraction.
+func TestMatMulKernelsMatchSummationOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
 	prev := SetParallelism(1)
 	defer SetParallelism(prev)
-	serial := MatMul(a, b)
-	serialTA := MatMulTransA(at, b)
-	serialTB := MatMulTransB(a, bt)
-
-	SetParallelism(8)
-	for name, pair := range map[string][2]*Tensor{
-		"MatMul":       {MatMul(a, b), serial},
-		"MatMulTransA": {MatMulTransA(at, b), serialTA},
-		"MatMulTransB": {MatMulTransB(a, bt), serialTB},
+	for _, tc := range []struct{ m, k, n int }{
+		{1, 1, 1}, {1, 5, 3}, {3, 67, 65}, {7, 131, 150}, {5, 70, 300}, {301, 70, 5}, {6, 2, 333},
+		{3, 2*transBChunkK + 101, 5}, // chunked A·Bᵀ
 	} {
-		got, want := pair[0], pair[1]
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("%s: element %d not bit-identical across parallelism: %v vs %v",
-					name, i, got.Data[i], want.Data[i])
-			}
+		a := randMat(rng, tc.m, tc.k)
+		at := explicitTranspose(a)
+		b := randMat(rng, tc.k, tc.n)
+		bt := explicitTranspose(b)
+		c0 := randMat(rng, tc.m, tc.n)
+		want := c0.Clone()
+		refMatMulInto(func(i, p int) float64 { return a.Data[i*tc.k+p] }, tc.k, b, want)
+		wantTB := c0.Clone()
+		refMatMulTransBInto(a, bt, wantTB)
+		for _, p := range []int{1, 2, 4} {
+			SetParallelism(p)
+			got := c0.Clone()
+			MatMulInto(a, b, got)
+			sameBits(t, "MatMulInto", got, want)
+			got = c0.Clone()
+			MatMulTransAInto(at, b, got)
+			sameBits(t, "MatMulTransAInto", got, want)
+			got = c0.Clone()
+			MatMulTransBInto(a, bt, got)
+			sameBits(t, "MatMulTransBInto", got, wantTB)
 		}
 	}
 }
