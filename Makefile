@@ -55,7 +55,7 @@ lint-fix-check: mglint
 
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/nn/ ./internal/tensor/ ./internal/dist/ ./internal/serve/
+	$(GO) test -race ./internal/nn/ ./internal/tensor/ ./internal/core/ ./internal/dist/ ./internal/serve/
 
 ci: lint test
 

@@ -8,7 +8,8 @@
 // engine (a disconnected client detaches from its flight), a
 // -request-timeout budget bounds every solve, per-client token-bucket
 // quotas answer 429 + Retry-After, and load-shed work answers
-// 503 + Retry-After — never a generic 500.
+// 503 + Retry-After — never a generic 500. The method and quota are
+// checked before the body is read, and a body over 1 MiB answers 413.
 //
 // Endpoints:
 //
@@ -237,6 +238,12 @@ func parseOmegaSlice(vals []float64) (field.Omega, error) {
 	return w, nil
 }
 
+// maxBodyBytes caps a request body. A /solve body is about 100 bytes and
+// each /solve-batch ω adds about 80, so the cap admits batches far larger
+// than any admission queue while bounding what one request can make the
+// server buffer and decode.
+const maxBodyBytes = 1 << 20
+
 // handlerOptions carries the serving policy into newHandler, split from
 // run so tests can drive the handler through httptest without a socket.
 type handlerOptions struct {
@@ -339,10 +346,15 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 			writeJSON(w, r, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		}
 	}
-	// admit applies the per-client quota and the request-timeout budget;
-	// it returns a derived context (and cancel) or ok=false having
-	// already answered 429.
+	// admit checks the method, applies the per-client quota and the
+	// request-timeout budget; it returns a derived context (and cancel) or
+	// ok=false having already answered 405 or 429. It runs before decode,
+	// so a refused request costs no body read.
 	admit := func(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
+		if r.Method != http.MethodPost {
+			writeJSON(w, r, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+			return nil, nil, false
+		}
 		if ok, retryAfter := opt.quota.Allow(clientKey(r, opt.quotaHeader), time.Now()); !ok {
 			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 			writeJSON(w, r, http.StatusTooManyRequests, map[string]string{
@@ -357,13 +369,19 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 		}
 		return ctx, cancel, true
 	}
+	// decode reads an admitted request's body, answering 413 past
+	// maxBodyBytes and 400 on bad JSON or an infeasible resolution.
 	decode := func(w http.ResponseWriter, r *http.Request) (solveRequest, bool) {
 		var req solveRequest
-		if r.Method != http.MethodPost {
-			writeJSON(w, r, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			writeJSON(w, r, http.StatusRequestEntityTooLarge, map[string]any{
+				"error": "request body too large", "limit_bytes": tooBig.Limit,
+			})
 			return req, false
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		case err != nil:
 			badRequest(w, r, fmt.Errorf("bad JSON: %w", err))
 			return req, false
 		}
@@ -375,6 +393,11 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 	}
 
 	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel, ok := admit(w, r)
+		if !ok {
+			return
+		}
+		defer cancel()
 		req, ok := decode(w, r)
 		if !ok {
 			return
@@ -384,11 +407,6 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 			badRequest(w, r, err)
 			return
 		}
-		ctx, cancel, ok := admit(w, r)
-		if !ok {
-			return
-		}
-		defer cancel()
 		res, err := eng.SolveQuery(ctx, serve.Query{Omega: omega, Res: req.Res, AllowDegraded: req.AllowDegraded})
 		if err != nil {
 			writeError(w, r, err)
@@ -398,6 +416,11 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 	})
 
 	mux.HandleFunc("/solve-batch", func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel, ok := admit(w, r)
+		if !ok {
+			return
+		}
+		defer cancel()
 		req, ok := decode(w, r)
 		if !ok {
 			return
@@ -415,11 +438,6 @@ func newHandler(eng *serve.Engine, opt handlerOptions) http.Handler {
 			}
 			qs[i] = serve.Query{Omega: omega, Res: req.Res, AllowDegraded: req.AllowDegraded}
 		}
-		ctx, cancel, ok := admit(w, r)
-		if !ok {
-			return
-		}
-		defer cancel()
 		results, err := eng.SolveQueries(ctx, qs)
 		if err != nil {
 			writeError(w, r, err)

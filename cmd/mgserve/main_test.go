@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -207,6 +208,80 @@ func TestQuotaRejected429(t *testing.T) {
 	h.ServeHTTP(srec, req)
 	if !strings.Contains(srec.Body.String(), `"quota_rejected":1`) {
 		t.Fatalf("stats: %s", srec.Body.String())
+	}
+}
+
+// TestOversizedBody413 pins the body cap: a request past maxBodyBytes
+// answers a typed JSON 413 on both solve endpoints instead of being
+// buffered and decoded whole.
+func TestOversizedBody413(t *testing.T) {
+	h := testHandler(t)
+	pad := strings.Repeat("x", maxBodyBytes)
+	for path, body := range map[string]string{
+		"/solve":       `{"omega":[0.3,1.5,0.1,-1.2],"res":8,"pad":"` + pad + `"}`,
+		"/solve-batch": `{"omegas":[[0.3,1.5,0.1,-1.2]],"res":8,"pad":"` + pad + `"}`,
+	} {
+		rec := post(t, h, path, body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %.200s", path, rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Error      string `json:"error"`
+			LimitBytes int64  `json:"limit_bytes"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: 413 body is not JSON: %v", path, err)
+		}
+		if resp.Error == "" || resp.LimitBytes != maxBodyBytes {
+			t.Fatalf("%s: 413 body %+v, want an error and limit_bytes %d", path, resp, maxBodyBytes)
+		}
+	}
+	// An ordinary body still decodes.
+	if rec := post(t, h, "/solve", `{"omega":[0.3,1.5,0.1,-1.2],"res":8,"summary":true}`); rec.Code != http.StatusOK {
+		t.Fatalf("small body: status %d", rec.Code)
+	}
+}
+
+// countingReader records how many body bytes the handler pulled.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += k
+	return k, err
+}
+
+// TestThrottledClientCostsNoDecode pins the admission order: the quota is
+// checked before the body is read, so an over-quota client sending a
+// large body gets its 429 without the server reading a byte of it.
+func TestThrottledClientCostsNoDecode(t *testing.T) {
+	h := newHandler(testEngine(t, serve.Config{}), handlerOptions{
+		quota:       serve.NewQuotaLimiter(serve.QuotaConfig{RPS: 0.1, Burst: 1}),
+		quotaHeader: "X-API-Key",
+	})
+	large := `{"omegas":[` + strings.Repeat(`[0.1,0.2,0.3,0.4],`, 20000) + `[1,2,3,4]],"res":8,"summary":true}`
+	send := func(path string) (*httptest.ResponseRecorder, *countingReader) {
+		body := &countingReader{r: strings.NewReader(large)}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.Header.Set("X-API-Key", "mallory")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec, body
+	}
+	if rec, body := send("/solve"); rec.Code != http.StatusBadRequest || body.n == 0 {
+		t.Fatalf("in-quota request: status %d after reading %d bytes, want a decoded 400", rec.Code, body.n)
+	}
+	for _, path := range []string{"/solve", "/solve-batch"} {
+		rec, body := send(path)
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("%s: throttled request got %d, want 429", path, rec.Code)
+		}
+		if body.n != 0 {
+			t.Fatalf("%s: throttled request read %d body bytes, want 0", path, body.n)
+		}
 	}
 }
 

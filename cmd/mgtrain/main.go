@@ -1,7 +1,8 @@
 // Command mgtrain trains an MGDiffNet model with one of the paper's
-// multigrid schedules — single-process or data-parallel — and optionally
-// saves the weights for cmd/mginfer. Long runs can write durable
-// checkpoints and resume after a kill with bit-identical results.
+// multigrid schedules — single-process or data-parallel, both through
+// dist.ParallelTrainer (one worker runs the single-process step) — and
+// optionally saves the weights for cmd/mginfer. Long runs can write
+// durable checkpoints and resume after a kill with bit-identical results.
 //
 // Data parallelism comes in two transports: in-process worker goroutines
 // (-workers) and a multi-process TCP world (-transport tcp), where every
@@ -27,6 +28,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"mgdiffnet/internal/core"
@@ -161,14 +163,6 @@ func (f *trainFlags) validate() error {
 	default:
 		return fmt.Errorf("unknown transport %q (want inproc or tcp)", f.transport)
 	}
-	// The default U-Net halves the extent Depth times, so the coarsest
-	// level must still be a positive multiple of its minimum input size.
-	min := 1 << unet.DefaultConfig(f.dim).Depth
-	coarsest := f.res >> (f.levels - 1)
-	if coarsest < min || coarsest%min != 0 {
-		return fmt.Errorf("coarsest resolution %d (res %d over %d levels) must be a positive multiple of the U-Net minimum input size %d",
-			coarsest, f.res, f.levels, min)
-	}
 	return nil
 }
 
@@ -233,6 +227,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
+	// TCP transport goroutines log through stdout while the schedule logs
+	// from this goroutine, so writes are serialized.
+	stdout = &lockedWriter{w: stdout}
+
 	ncfg := unet.DefaultConfig(f.dim)
 	ncfg.BaseFilters = f.filters
 
@@ -256,36 +254,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stdout, format+"\n", args...)
 		},
 	}
+	// The coarsest level against the U-Net minimum, before a TCP rank
+	// spends a rendezvous on a config it cannot train.
+	if err := cfg.Check(); err != nil {
+		fmt.Fprintln(stderr, "mgtrain:", err)
+		return 2
+	}
 
 	if f.transport == "tcp" {
 		return runTCP(&f, cfg, &ncfg, stdout, stderr)
 	}
 
-	var backend core.EpochBackend
-	var trainedNet func() *unet.UNet
-	if f.workers > 1 {
-		pt, err := dist.NewParallelTrainer(dist.ParallelConfig{
-			Workers:     f.workers,
-			Dim:         f.dim,
-			Res:         f.res,
-			Samples:     f.samples,
-			GlobalBatch: f.batch,
-			LR:          f.lr,
-			Seed:        f.seed,
-			Net:         &ncfg,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "mgtrain:", err)
-			return 2
-		}
-		defer pt.Close()
-		backend = pt
-		trainedNet = pt.Net
-	} else {
-		tr := core.NewTrainer(cfg)
-		backend = tr
-		trainedNet = func() *unet.UNet { return tr.Net }
+	pt, err := newTrainer(&f, &ncfg, nil)
+	if err != nil {
+		fmt.Fprintln(stderr, "mgtrain:", err)
+		return 2
 	}
+	defer pt.Close()
 
 	opts := core.RunOptions{CheckpointPath: f.checkpoint, CheckpointEvery: f.ckEvery}
 	if f.resume {
@@ -303,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	fmt.Fprintf(stdout, "mgtrain: %s, %dD, finest res %d, %d levels, %d workers\n",
 		strat, f.dim, f.res, f.levels, f.workers)
-	rep, err := core.RunSchedule(cfg, backend, opts)
+	rep, err := core.RunSchedule(cfg, pt, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "mgtrain:", err)
 		return 1
@@ -315,13 +300,33 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if f.out != "" {
-		if err := trainedNet().SaveFile(f.out); err != nil {
+		if err := pt.Net().SaveFile(f.out); err != nil {
 			fmt.Fprintln(stderr, "mgtrain: save:", err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "model written to %s\n", f.out)
 	}
 	return 0
+}
+
+// newTrainer builds the training backend: f.workers in-process replicas
+// when tr is nil (one replica runs the single-process step), otherwise
+// this process's rank of tr's world.
+func newTrainer(f *trainFlags, ncfg *unet.Config, tr *dist.TCPTransport) (*dist.ParallelTrainer, error) {
+	pc := dist.ParallelConfig{
+		Workers:     f.workers,
+		Dim:         f.dim,
+		Res:         f.res,
+		Samples:     f.samples,
+		GlobalBatch: f.batch,
+		LR:          f.lr,
+		Seed:        f.seed,
+		Net:         ncfg,
+	}
+	if tr != nil {
+		pc.Workers, pc.Transport = 0, tr
+	}
+	return dist.NewParallelTrainer(pc)
 }
 
 // runTCP runs this process as one rank of a multi-process TCP world. The
@@ -350,16 +355,7 @@ func runTCP(f *trainFlags, cfg core.Config, ncfg *unet.Config, stdout, stderr io
 			fmt.Fprintln(stderr, "mgtrain:", err)
 			return 1
 		}
-		pt, err := dist.NewParallelTrainer(dist.ParallelConfig{
-			Transport:   tr,
-			Dim:         f.dim,
-			Res:         f.res,
-			Samples:     f.samples,
-			GlobalBatch: f.batch,
-			LR:          f.lr,
-			Seed:        f.seed,
-			Net:         ncfg,
-		})
+		pt, err := newTrainer(f, ncfg, tr)
 		if err != nil {
 			tr.Close()
 			fmt.Fprintln(stderr, "mgtrain:", err)
@@ -428,4 +424,16 @@ func runTCP(f *trainFlags, cfg core.Config, ncfg *unet.Config, stdout, stderr io
 		fmt.Fprintf(stdout, "mgtrain: ranks %v dead after %v; reforming as rank %d of %d from checkpoint %s\n",
 			dead, err, rank, len(peers), f.checkpoint)
 	}
+}
+
+// lockedWriter serializes Write calls to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

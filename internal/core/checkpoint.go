@@ -53,17 +53,10 @@ type RunKey struct {
 }
 
 // runKey extracts the compatibility key from a (validated) config, with
-// the network config normalized the way NewTrainer and the distributed
-// trainer normalize it (defaults applied, Dim and Seed forced to match).
+// the network config normalized the way NewTrainer normalizes it.
 func runKey(cfg Config) RunKey {
-	ncfg := unet.DefaultConfig(cfg.Dim)
-	if cfg.Net != nil {
-		ncfg = *cfg.Net
-	}
-	ncfg.Dim = cfg.Dim
-	ncfg.Seed = cfg.Seed
 	return RunKey{
-		Net:               ncfg,
+		Net:               cfg.netConfig(),
 		Dim:               cfg.Dim,
 		Strategy:          cfg.Strategy,
 		Levels:            cfg.Levels,

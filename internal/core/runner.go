@@ -10,8 +10,8 @@ import (
 // EpochBackend is what the schedule runner drives: anything that can train
 // one epoch and evaluate the dataset loss at a chosen multigrid
 // resolution. core.Trainer (single-process) and dist.ParallelTrainer
-// (data-parallel, satisfied without an import thanks to structural typing)
-// both implement it, which is what lets every V/W/F/Half-V strategy run
+// (data-parallel, whose replicas are each a Trainer) both implement it,
+// which is what lets every V/W/F/Half-V strategy run
 // distributed: the runner is agnostic to how an epoch is computed, and the
 // backend re-shards the global batch at whatever resolution each stage
 // requests.
@@ -69,7 +69,8 @@ type RunOptions struct {
 // prolongation stages train to the early-stopping criterion, architectural
 // adaptation fires on coarse-to-fine transitions when enabled, and the
 // whole run can be checkpointed and resumed bit-exactly at epoch
-// granularity. cfg must be valid (it panics like NewTrainer otherwise).
+// granularity. cfg must pass Config.Check and have MaxEpochsPerStage >= 1
+// (it panics otherwise); a Patience below 1 counts as 1.
 func RunSchedule(cfg Config, backend EpochBackend, opts RunOptions) (*Report, error) {
 	cfg.validate()
 	if cfg.Adapt {

@@ -8,7 +8,6 @@ import (
 
 	"mgdiffnet/internal/fem"
 	"mgdiffnet/internal/field"
-	"mgdiffnet/internal/nn"
 	"mgdiffnet/internal/sparse"
 	"mgdiffnet/internal/tensor"
 )
@@ -103,8 +102,8 @@ func (s *SupervisedTrainer) TrainEpoch(res int) (float64, error) {
 	total := 0.0
 	for lo := 0; lo < ns; lo += bs {
 		n := min(bs, ns-lo)
-		nu := s.Data.Batch(lo, n, res)
-		nn.ZeroGrads(s.Net)
+		nu := s.Batch(lo, n, res)
+		s.arena.ZeroGrad()
 		pred := s.Net.Forward(nu, true)
 		loss, grad := s.mseLoss(pred, lo, res)
 		s.Net.Backward(grad)

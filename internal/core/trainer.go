@@ -78,15 +78,33 @@ func DefaultConfig(dim int) Config {
 	}
 }
 
-func (c *Config) validate() {
+// Check reports a configuration no trainer can be built from: an
+// unsupported Dim, an empty dataset or batch, fewer than one level, or a
+// coarsest resolution (FinestRes over Levels) that is not a positive
+// multiple of the U-Net minimum input size. NewTrainer panics on it;
+// callers that must not panic (dist.NewParallelTrainer) return it.
+func (c Config) Check() error {
 	if c.Dim != 2 && c.Dim != 3 {
-		panic("core: Dim must be 2 or 3")
+		return fmt.Errorf("core: Dim must be 2 or 3, got %d", c.Dim)
 	}
 	if c.Levels < 1 {
-		panic("core: Levels must be >= 1")
+		return fmt.Errorf("core: Levels must be >= 1, got %d", c.Levels)
 	}
 	if c.BatchSize < 1 || c.Samples < 1 {
-		panic("core: Samples and BatchSize must be >= 1")
+		return fmt.Errorf("core: Samples and BatchSize must be >= 1, got %d and %d", c.Samples, c.BatchSize)
+	}
+	m := 1 << c.netConfig().Depth
+	if coarsest := c.FinestRes >> (c.Levels - 1); coarsest < m || coarsest%m != 0 {
+		return fmt.Errorf("core: coarsest resolution %d (FinestRes %d over %d levels) is not a positive multiple of the U-Net minimum input size %d",
+			coarsest, c.FinestRes, c.Levels, m)
+	}
+	return nil
+}
+
+// validate is Check plus the schedule-only checks RunSchedule needs.
+func (c *Config) validate() {
+	if err := c.Check(); err != nil {
+		panic(err)
 	}
 	if c.MaxEpochsPerStage < 1 {
 		panic("core: MaxEpochsPerStage must be >= 1")
@@ -94,6 +112,18 @@ func (c *Config) validate() {
 	if c.Patience < 1 {
 		c.Patience = 1
 	}
+}
+
+// netConfig is the U-Net configuration the run trains: Net, or the
+// default for Dim, with Dim and Seed forced to match the run.
+func (c Config) netConfig() unet.Config {
+	ncfg := unet.DefaultConfig(c.Dim)
+	if c.Net != nil {
+		ncfg = *c.Net
+	}
+	ncfg.Dim = c.Dim
+	ncfg.Seed = c.Seed
+	return ncfg
 }
 
 // EpochRecord is one epoch of the loss trajectory (Figure 8).
@@ -133,7 +163,9 @@ func (r *Report) TimePerLevel() map[int]float64 {
 
 // DataSource supplies batched coefficient fields at any resolution. It is
 // satisfied by field.Dataset (the paper's Sobol log-permeability family)
-// and field.InclusionDataset (composite microstructures).
+// and field.InclusionDataset (composite microstructures). Data-parallel
+// replicas share one source, so implementations used there must be safe
+// for concurrent Batch calls.
 type DataSource interface {
 	// Len returns the number of samples.
 	Len() int
@@ -142,12 +174,19 @@ type DataSource interface {
 	Batch(start, count, res int) *tensor.Tensor
 }
 
+// batchReuser is the optional DataSource fast path: rasterize a mini-batch
+// into a caller-owned tensor instead of allocating one per call.
+// field.Dataset implements it.
+type batchReuser interface {
+	BatchInto(dst *tensor.Tensor, start, count, res int) *tensor.Tensor
+}
+
 // Trainer owns the network, loss, dataset and optimizer of one run. The
 // network's parameters are arena-backed (nn.Arena): gradients live in one
 // contiguous slab zeroed with a single memset per batch, and the Adam
-// update runs as a fused sweep over the flat slabs — the same storage
-// layout the distributed backend uses, so checkpoints and trajectories
-// stay bit-identical across backends.
+// update runs as a fused sweep over the flat slabs. Each data-parallel
+// replica of dist.ParallelTrainer is a Trainer too, so checkpoints and
+// trajectories stay bit-identical across backends.
 type Trainer struct {
 	Cfg  Config
 	Net  *unet.UNet
@@ -156,30 +195,20 @@ type Trainer struct {
 	Opt  *nn.Adam
 
 	arena *nn.Arena
+	in    *tensor.Tensor // reused mini-batch input (batchReuser)
 }
 
-// NewTrainer builds a trainer with a fresh U-Net and Sobol dataset.
+// NewTrainer builds a trainer with a fresh U-Net and, unless cfg.Data is
+// set, a fresh Sobol dataset. It panics on a config that fails Check.
 func NewTrainer(cfg Config) *Trainer {
-	cfg.validate()
-	var ncfg unet.Config
-	if cfg.Net != nil {
-		ncfg = *cfg.Net
-	} else {
-		ncfg = unet.DefaultConfig(cfg.Dim)
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
-	ncfg.Dim = cfg.Dim
-	ncfg.Seed = cfg.Seed
-	net := unet.New(ncfg)
-
-	coarsest := cfg.FinestRes >> (cfg.Levels - 1)
-	if coarsest < net.MinInputSize() || coarsest%net.MinInputSize() != 0 {
-		panic(fmt.Sprintf("core: coarsest resolution %d incompatible with U-Net minimum %d", coarsest, net.MinInputSize()))
-	}
-
 	data := cfg.Data
 	if data == nil {
 		data = field.NewDataset(cfg.Samples, cfg.Dim)
 	}
+	net := unet.New(cfg.netConfig())
 	params := net.Params()
 	return &Trainer{
 		Cfg:   cfg,
@@ -189,6 +218,21 @@ func NewTrainer(cfg Config) *Trainer {
 		Opt:   nn.NewAdam(params, cfg.LR),
 		arena: nn.NewArena(params),
 	}
+}
+
+// Arena returns the flat parameter and gradient storage of the network.
+// It is replaced by Adapt (extended) and ImportState (rebuilt).
+func (t *Trainer) Arena() *nn.Arena { return t.arena }
+
+// Batch materializes count samples starting at start at the given
+// resolution, rasterizing into the trainer-owned input tensor when Data
+// supports it. The result is valid until the next Batch call.
+func (t *Trainer) Batch(start, count, res int) *tensor.Tensor {
+	if br, ok := t.Data.(batchReuser); ok {
+		t.in = br.BatchInto(t.in, start, count, res)
+		return t.in
+	}
+	return t.Data.Batch(start, count, res)
 }
 
 // TrainEpoch runs one epoch at the given resolution following Algorithm 1
@@ -204,7 +248,7 @@ func (t *Trainer) TrainEpoch(res int) (float64, error) {
 	total := 0.0
 	for lo := 0; lo < ns; lo += bs {
 		n := min(bs, ns-lo)
-		nu := t.Data.Batch(lo, n, res)
+		nu := t.Batch(lo, n, res)
 		t.arena.ZeroGrad()
 		pred := t.Net.Forward(nu, true)
 		loss, grad := t.Loss.Eval(pred, nu)
@@ -224,7 +268,7 @@ func (t *Trainer) EvalLoss(res int) (float64, error) {
 	total := 0.0
 	for lo := 0; lo < ns; lo += bs {
 		n := min(bs, ns-lo)
-		nu := t.Data.Batch(lo, n, res)
+		nu := t.Batch(lo, n, res)
 		pred := t.Net.Forward(nu, false)
 		loss, _ := t.Loss.Eval(pred, nu)
 		total += loss * float64(n)

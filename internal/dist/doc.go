@@ -11,11 +11,13 @@
 // rank kills for testing; the membership layer turns every failure into a
 // timely error (never a hang) and lets survivors agree on a shrunken
 // world and resume from the last checkpoint (elastic fault tolerance).
-// ParallelTrainer trains at a per-epoch resolution and satisfies
-// core.EpochBackend structurally (dist does not import the schedule
-// layer), so core.RunSchedule drives every multigrid strategy
-// data-parallel, with checkpoint/resume through the shared
-// ExportState/ImportState encoding.
+// Each ParallelTrainer replica is a core.Trainer — the model, loss,
+// optimizer, arena, data source and checkpoint encoding have one owner —
+// plus the communicator, bucket plan and overlap state of the allreduce;
+// a 1-worker world runs the trainer's own epoch. ParallelTrainer trains at
+// a per-epoch resolution and implements core.EpochBackend, so
+// core.RunSchedule drives every multigrid strategy data-parallel, with
+// checkpoint/resume through the trainers' ExportState/ImportState.
 //
 // The paper (§3.2) trains on megavoxel domains by sharding each global
 // mini-batch across devices, computing local gradients of the variational

@@ -1,8 +1,8 @@
 package dist
 
 // Distributed multigrid: dist.ParallelTrainer implements core.EpochBackend
-// (structurally — dist itself does not import core outside tests), so
-// core.RunSchedule drives every V/W/F/Half-V strategy data-parallel. The
+// over replicas that are each a core.Trainer, so core.RunSchedule drives
+// every V/W/F/Half-V strategy data-parallel. The
 // tests here enforce the two strong exactness bars: a 1-worker distributed
 // run matches the single-process core.Trainer bit for bit, and a
 // killed-and-resumed distributed run matches an uninterrupted one bit for
@@ -14,6 +14,7 @@ import (
 
 	"mgdiffnet/internal/core"
 	"mgdiffnet/internal/nn"
+	"mgdiffnet/internal/unet"
 )
 
 // multigridCfg exercises restriction and prolongation phases, a ragged
@@ -143,20 +144,29 @@ func TestDistributedMultigridReplicasStayInSync(t *testing.T) {
 	}
 }
 
-type crashingParallel struct {
-	*ParallelTrainer
+// resumable is what a checkpointed, adapting schedule needs of a backend;
+// core.Trainer and ParallelTrainer both are.
+type resumable interface {
+	core.EpochBackend
+	core.AdaptingBackend
+	core.StatefulBackend
+}
+
+// crashingBackend fails every epoch after the first failAfter.
+type crashingBackend struct {
+	resumable
 	failAfter int
 	calls     int
 }
 
 var errKilled = errors.New("injected kill")
 
-func (c *crashingParallel) TrainEpoch(res int) (float64, error) {
+func (c *crashingBackend) TrainEpoch(res int) (float64, error) {
 	if c.calls >= c.failAfter {
 		return 0, errKilled
 	}
 	c.calls++
-	return c.ParallelTrainer.TrainEpoch(res)
+	return c.resumable.TrainEpoch(res)
 }
 
 // A 4-worker run killed mid-schedule and resumed from its checkpoint must
@@ -174,7 +184,7 @@ func TestDistributedResumeBitExact(t *testing.T) {
 	path := t.TempDir() + "/ck.gob"
 	killed := newMultigridPT(t, cfg, 4)
 	defer killed.Close()
-	crash := &crashingParallel{ParallelTrainer: killed, failAfter: 3}
+	crash := &crashingBackend{resumable: killed, failAfter: 3}
 	if _, err := core.RunSchedule(cfg, crash, core.RunOptions{CheckpointPath: path, CheckpointEvery: 1}); !errors.Is(err, errKilled) {
 		t.Fatalf("expected injected kill, got %v", err)
 	}
@@ -205,7 +215,7 @@ func TestCheckpointPortableAcrossBackends(t *testing.T) {
 	path := t.TempDir() + "/ck.gob"
 	killed := newMultigridPT(t, cfg, 2)
 	defer killed.Close()
-	crash := &crashingParallel{ParallelTrainer: killed, failAfter: 3}
+	crash := &crashingBackend{resumable: killed, failAfter: 3}
 	if _, err := core.RunSchedule(cfg, crash, core.RunOptions{CheckpointPath: path, CheckpointEvery: 1}); !errors.Is(err, errKilled) {
 		t.Fatalf("expected injected kill, got %v", err)
 	}
@@ -224,6 +234,56 @@ func TestCheckpointPortableAcrossBackends(t *testing.T) {
 	loss, err := single.EvalLoss(cfg.FinestRes)
 	if err != nil || loss <= 0 {
 		t.Fatalf("restored single-process trainer unusable: loss %v, err %v", loss, err)
+	}
+}
+
+// At workers=1 checkpoints move between backends bit-exactly: a
+// single-process run killed mid-schedule and resumed in a 1-worker
+// ParallelTrainer, and the reverse, both finish with parameters and final
+// loss bit-identical to the uninterrupted single-process run.
+func TestCheckpointResumeAcrossBackendsWorkers1BitExact(t *testing.T) {
+	cfg := multigridCfg()
+	ref := core.NewTrainer(cfg)
+	repRef, err := core.RunSchedule(cfg, ref, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type backend struct {
+		resumable
+		net func() *unet.UNet
+	}
+	single := func() backend {
+		tr := core.NewTrainer(cfg)
+		return backend{tr, func() *unet.UNet { return tr.Net }}
+	}
+	parallel := func() backend {
+		pt := newMultigridPT(t, cfg, 1)
+		t.Cleanup(pt.Close)
+		return backend{pt, pt.Net}
+	}
+	for name, pair := range map[string][2]func() backend{
+		"single to workers=1": {single, parallel},
+		"workers=1 to single": {parallel, single},
+	} {
+		path := t.TempDir() + "/ck.gob"
+		crash := &crashingBackend{resumable: pair[0](), failAfter: 4}
+		if _, err := core.RunSchedule(cfg, crash, core.RunOptions{CheckpointPath: path}); !errors.Is(err, errKilled) {
+			t.Fatalf("%s: expected injected kill, got %v", name, err)
+		}
+		ck, err := core.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := pair[1]()
+		rep, err := core.RunSchedule(cfg, resumed, core.RunOptions{Resume: ck})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSameParams(t, name, ref.Net.Params(), resumed.net().Params())
+		if rep.FinalLoss != repRef.FinalLoss {
+			t.Fatalf("%s: final loss %v, uninterrupted %v", name, rep.FinalLoss, repRef.FinalLoss)
+		}
 	}
 }
 

@@ -1,29 +1,22 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"time"
 
-	"mgdiffnet/internal/fem"
-	"mgdiffnet/internal/field"
+	"mgdiffnet/internal/core"
 	"mgdiffnet/internal/nn"
 	"mgdiffnet/internal/tensor"
 	"mgdiffnet/internal/unet"
 )
 
-// DataSource supplies batched coefficient fields at any resolution. It
-// mirrors core.DataSource (declared locally so dist does not depend on the
-// training-schedule layer) and is satisfied by field.Dataset and
-// field.InclusionDataset. Implementations must be safe for concurrent
-// Batch calls from worker goroutines.
-type DataSource interface {
-	Len() int
-	Batch(start, count, res int) *tensor.Tensor
-}
+// DataSource supplies batched coefficient fields at any resolution. The
+// replicas share one source, so it must be safe for concurrent Batch calls
+// from worker goroutines.
+type DataSource = core.DataSource
 
 // ParallelConfig drives a data-parallel training run (§3.2 of the paper).
 type ParallelConfig struct {
@@ -71,34 +64,22 @@ type ParallelConfig struct {
 	Transport Transport
 }
 
-// batchReuser is the optional DataSource fast path: rasterize a mini-batch
-// into a caller-owned tensor instead of allocating one per call.
-// field.Dataset implements it.
-type batchReuser interface {
-	BatchInto(dst *tensor.Tensor, start, count, res int) *tensor.Tensor
-}
-
 // lossBucket is the collective id of the 1-element loss allreduce that is
 // enqueued ahead of every batch's gradient buckets.
 const lossBucket = -1
 
-// replica is one data-parallel worker: its own model, loss and optimizer,
-// with all parameters and gradients arena-backed (nn.Arena) so the
-// allreduce operates on the gradient slab in place — no per-batch
-// gather/scatter — and a persistent Communicator plus comm goroutine that
-// overlap each gradient bucket's reduction with the remainder of the
-// backward pass.
+// replica is one data-parallel worker: a core.Trainer that owns the
+// model, loss and optimizer — all parameters and gradients arena-backed
+// (nn.Arena), so the allreduce operates on the gradient slab in place, no
+// per-batch gather/scatter — plus a persistent Communicator and comm
+// goroutine that overlap each gradient bucket's reduction with the
+// remainder of the backward pass.
 type replica struct {
-	net    *unet.UNet
-	loss   *fem.EnergyLoss
-	opt    *nn.Adam
-	params []*nn.Param
-	arena  *nn.Arena
-	comm   *Communicator
-	plan   *bucketPlan
+	*core.Trainer
+	comm *Communicator
+	plan *bucketPlan
 
-	in      *tensor.Tensor // reused mini-batch input (batchReuser)
-	lossBuf []float64      // 1-element loss collective buffer
+	lossBuf []float64 // 1-element loss collective buffer
 
 	// Per-batch overlap state. The compute goroutine writes weight and
 	// contrib before enqueuing the batch's first collective and never
@@ -140,7 +121,7 @@ func (r *replica) stopComm() {
 // (architectural adaptation, checkpoint restore) and restarts the comm
 // goroutine over it.
 func (r *replica) replan(bucketElems int) error {
-	plan, err := newBucketPlan(r.net, r.arena, bucketElems)
+	plan, err := newBucketPlan(r.Net, r.Arena(), bucketElems)
 	if err != nil {
 		return err
 	}
@@ -169,7 +150,7 @@ func (r *replica) commLoop(plan *bucketPlan, buckets chan int) {
 			err = r.comm.AllReduceFrom(r.lossBuf, r.contrib)
 		} else {
 			lo, hi := plan.bounds[id], plan.bounds[id+1]
-			span := r.arena.Grad()[lo:hi]
+			span := r.Arena().Grad()[lo:hi]
 			if r.contrib[r.comm.Rank()] && r.weight != 1 {
 				for i := range span {
 					span[i] *= r.weight
@@ -227,16 +208,6 @@ func (r *replica) enqueueAll() {
 	r.flushBuckets()
 }
 
-// nextBatch materializes the replica's shard of a mini-batch, reusing the
-// replica-owned input tensor when the data source supports it.
-func (r *replica) nextBatch(data DataSource, start, count, res int) *tensor.Tensor {
-	if br, ok := data.(batchReuser); ok {
-		r.in = br.BatchInto(r.in, start, count, res)
-		return r.in
-	}
-	return data.Batch(start, count, res)
-}
-
 type workerResult struct {
 	rank int
 	loss float64
@@ -251,22 +222,16 @@ type workerCmd struct {
 	train bool
 }
 
-// newReplica wires one worker: an arena-backed network (buffer reuse on —
-// the replica owns its activations outright), a private loss with scratch
-// reuse, the optimizer over the arena'd parameters (which selects the
-// fused flat Adam step), a persistent communicator, and the bucket plan
-// plus comm goroutine of the overlapped allreduce.
-func newReplica(net *unet.UNet, dim, workers int, lr float64, tr Transport, bucketElems int) (*replica, error) {
-	net.SetBufferReuse(true)
-	loss := fem.NewEnergyLoss(dim)
-	loss.SetScratchReuse(true)
-	params := net.Params()
+// newReplica wires one worker: a core.Trainer with buffer reuse on its
+// network (the replica owns its activations outright) and scratch reuse on
+// its loss, a persistent communicator, and the bucket plan plus comm
+// goroutine of the overlapped allreduce.
+func newReplica(cfg core.Config, workers int, tr Transport, bucketElems int) (*replica, error) {
+	t := core.NewTrainer(cfg)
+	t.Net.SetBufferReuse(true)
+	t.Loss.SetScratchReuse(true)
 	r := &replica{
-		net:     net,
-		loss:    loss,
-		opt:     nn.NewAdam(params, lr),
-		params:  params,
-		arena:   nn.NewArena(params),
+		Trainer: t,
 		comm:    NewCommunicator(tr),
 		lossBuf: make([]float64, 1),
 		contrib: make([]bool, workers),
@@ -303,8 +268,7 @@ func newReplica(net *unet.UNet, dim, workers int, lr float64, tr Transport, buck
 // worker-count independence intact: a sample's result does not depend on
 // the size of the shard it runs in.)
 type ParallelTrainer struct {
-	Cfg  ParallelConfig
-	data DataSource
+	Cfg ParallelConfig
 
 	world int   // communicator size p (ranks across all processes)
 	ranks []int // global rank of each local replica
@@ -329,32 +293,17 @@ func NewParallelTrainer(cfg ParallelConfig) (*ParallelTrainer, error) {
 	} else if cfg.Workers < 1 {
 		return nil, fmt.Errorf("dist: Workers must be >= 1, got %d", cfg.Workers)
 	}
-	if cfg.Dim != 2 && cfg.Dim != 3 {
-		return nil, fmt.Errorf("dist: Dim must be 2 or 3, got %d", cfg.Dim)
-	}
-	if cfg.Samples < 1 || cfg.GlobalBatch < 1 {
-		return nil, fmt.Errorf("dist: Samples and GlobalBatch must be >= 1")
-	}
 	if cfg.BucketElems < 0 {
 		return nil, fmt.Errorf("dist: BucketElems must be >= 0, got %d", cfg.BucketElems)
 	}
-	var ncfg unet.Config
-	if cfg.Net != nil {
-		ncfg = *cfg.Net
-	} else {
-		ncfg = unet.DefaultConfig(cfg.Dim)
+	// Each replica's trainer sees the whole global batch description; the
+	// shard is cut per batch in runEpoch.
+	tcfg := core.Config{
+		Dim: cfg.Dim, Levels: 1, FinestRes: cfg.Res, Samples: cfg.Samples,
+		BatchSize: cfg.GlobalBatch, LR: cfg.LR, Seed: cfg.Seed, Net: cfg.Net, Data: cfg.Data,
 	}
-	ncfg.Dim = cfg.Dim
-	ncfg.Seed = cfg.Seed
-
-	probe := unet.New(ncfg)
-	if m := probe.MinInputSize(); cfg.Res < m || cfg.Res%m != 0 {
-		return nil, fmt.Errorf("dist: Res %d must be a positive multiple of the U-Net minimum %d", cfg.Res, m)
-	}
-
-	data := cfg.Data
-	if data == nil {
-		data = field.NewDataset(cfg.Samples, cfg.Dim)
+	if err := tcfg.Check(); err != nil {
+		return nil, err
 	}
 
 	// One local replica per transport endpoint: the whole world in-process
@@ -373,7 +322,6 @@ func NewParallelTrainer(cfg ParallelConfig) (*ParallelTrainer, error) {
 	}
 	pt := &ParallelTrainer{
 		Cfg:   cfg,
-		data:  data,
 		world: cfg.Workers,
 		ranks: ranks,
 		reps:  make([]*replica, len(trs)),
@@ -382,15 +330,12 @@ func NewParallelTrainer(cfg ParallelConfig) (*ParallelTrainer, error) {
 		res:   make(chan workerResult, len(trs)),
 	}
 	for w := range pt.reps {
-		net := probe
-		if w > 0 {
-			// Same config and seed: identical initial weights on every rank.
-			net = unet.New(ncfg)
-		}
-		r, err := newReplica(net, cfg.Dim, pt.world, cfg.LR, pt.trs[w], cfg.BucketElems)
+		// Same config and seed: identical initial weights on every rank.
+		r, err := newReplica(tcfg, pt.world, pt.trs[w], cfg.BucketElems)
 		if err != nil {
 			return nil, err
 		}
+		tcfg.Data = r.Data // one shared source
 		pt.reps[w] = r
 		pt.cmds[w] = make(chan workerCmd, 1)
 	}
@@ -429,8 +374,8 @@ func (pt *ParallelTrainer) shard(rank, n int) (int, int) {
 // Adam step to the reduced slab. The final global batch is clamped when
 // Samples is not divisible by GlobalBatch, and each batch's loss is a
 // separate 1-element collective weighted by the shard's sample count —
-// both mirror core.Trainer exactly, so a 1-worker run reproduces the
-// single-process trainer bit for bit.
+// both mirror core.Trainer.TrainEpoch, which a 1-worker world runs
+// itself.
 //
 // Empty shards (more workers than samples in a clamped batch) neither run
 // backward nor zero-fill the slab: they replay the plan's bucket order
@@ -438,26 +383,19 @@ func (pt *ParallelTrainer) shard(rank, n int) (int, int) {
 // slab with the reduced result during the all-gather.
 func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 	r := pt.reps[w]
-	rank := pt.ranks[w]
 	p := pt.world
+	if p == 1 {
+		// The whole batch is local: no collectives, no comm goroutine.
+		return r.TrainEpoch(res)
+	}
+	rank := pt.ranks[w]
 	B := pt.Cfg.GlobalBatch
-	ns := pt.data.Len()
+	ns := r.Data.Len()
 
 	total := 0.0
 	for bStart := 0; bStart < ns; bStart += B {
 		bn := min(B, ns-bStart)
 		lo, hi := pt.shard(rank, bn)
-		if p == 1 {
-			// Whole batch is local: no collectives, no comm goroutine.
-			nu := r.nextBatch(pt.data, bStart+lo, hi-lo, res)
-			r.arena.ZeroGrad()
-			pred := r.net.Forward(nu, true)
-			lossVal, grad := r.loss.Eval(pred, nu)
-			r.net.Backward(grad)
-			r.opt.Step()
-			total += lossVal * float64(hi-lo)
-			continue
-		}
 		// Every rank derives every peer's shard occupancy from (bn, p), so
 		// contrib is identical across ranks — the precondition of
 		// AllReduceFrom.
@@ -466,13 +404,13 @@ func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 		}
 		r.weight = float64(hi-lo) / float64(bn)
 		if hi > lo {
-			nu := r.nextBatch(pt.data, bStart+lo, hi-lo, res)
-			r.arena.ZeroGrad()
-			pred := r.net.Forward(nu, true)
-			lossVal, grad := r.loss.Eval(pred, nu)
+			nu := r.Batch(bStart+lo, hi-lo, res)
+			r.Arena().ZeroGrad()
+			pred := r.Net.Forward(nu, true)
+			lossVal, grad := r.Loss.Eval(pred, nu)
 			r.lossBuf[0] = lossVal * float64(hi-lo)
 			r.beginBatch()
-			r.net.BackwardWithHook(grad, r.hook)
+			r.Net.BackwardWithHook(grad, r.hook)
 			r.flushBuckets()
 		} else {
 			r.lossBuf[0] = 0
@@ -482,7 +420,7 @@ func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 		if err := <-r.done; err != nil {
 			return 0, err
 		}
-		r.opt.Step()
+		r.Opt.Step()
 		total += r.lossBuf[0]
 	}
 	return total / float64(ns), nil
@@ -492,12 +430,16 @@ func (pt *ParallelTrainer) runEpoch(w, res int) (float64, error) {
 // evaluates its shard of each batch and a 1-element allreduce through the
 // persistent communicator (and the replica's persistent loss buffer —
 // nothing is allocated per batch) assembles the per-sample mean loss
-// without touching gradients or weights.
+// without touching gradients or weights. A 1-worker world is the
+// trainer's own EvalLoss.
 func (pt *ParallelTrainer) evalEpoch(w, res int) (float64, error) {
 	r := pt.reps[w]
+	if pt.world == 1 {
+		return r.EvalLoss(res)
+	}
 	rank := pt.ranks[w]
 	B := pt.Cfg.GlobalBatch
-	ns := pt.data.Len()
+	ns := r.Data.Len()
 
 	total := 0.0
 	for bStart := 0; bStart < ns; bStart += B {
@@ -505,9 +447,9 @@ func (pt *ParallelTrainer) evalEpoch(w, res int) (float64, error) {
 		lo, hi := pt.shard(rank, bn)
 		r.lossBuf[0] = 0
 		if hi > lo {
-			nu := r.nextBatch(pt.data, bStart+lo, hi-lo, res)
-			pred := r.net.Forward(nu, false)
-			lossVal, _ := r.loss.Eval(pred, nu)
+			nu := r.Batch(bStart+lo, hi-lo, res)
+			pred := r.Net.Forward(nu, false)
+			lossVal, _ := r.Loss.Eval(pred, nu)
 			r.lossBuf[0] = lossVal * float64(hi-lo)
 		}
 		if err := r.comm.AllReduce(r.lossBuf); err != nil {
@@ -516,14 +458,6 @@ func (pt *ParallelTrainer) evalEpoch(w, res int) (float64, error) {
 		total += r.lossBuf[0]
 	}
 	return total / float64(ns), nil
-}
-
-// checkRes validates a per-epoch resolution against the current network.
-func (pt *ParallelTrainer) checkRes(res int) error {
-	if m := pt.reps[0].net.MinInputSize(); res < m || res%m != 0 {
-		return fmt.Errorf("dist: resolution %d must be a positive multiple of the U-Net minimum %d", res, m)
-	}
-	return nil
 }
 
 // runAll dispatches one collective command to every local worker and
@@ -563,7 +497,7 @@ func (pt *ParallelTrainer) runAll(c workerCmd) (float64, error) {
 // re-sharded identically at every level, so replicas stay bit-exact across
 // level switches. It implements core.EpochBackend.
 func (pt *ParallelTrainer) TrainEpoch(res int) (float64, error) {
-	if err := pt.checkRes(res); err != nil {
+	if err := pt.reps[0].Net.ValidateRes(res); err != nil {
 		return 0, err
 	}
 	return pt.runAll(workerCmd{res: res, train: true})
@@ -573,7 +507,7 @@ func (pt *ParallelTrainer) TrainEpoch(res int) (float64, error) {
 // resolution without updating weights, sharding each batch across the
 // workers. It implements core.EpochBackend.
 func (pt *ParallelTrainer) EvalLoss(res int) (float64, error) {
-	if err := pt.checkRes(res); err != nil {
+	if err := pt.reps[0].Net.ValidateRes(res); err != nil {
 		return 0, err
 	}
 	return pt.runAll(workerCmd{res: res})
@@ -587,18 +521,17 @@ func (pt *ParallelTrainer) TimeEpoch(res int) (time.Duration, float64, error) {
 	return time.Since(start), loss, err
 }
 
-// Adapt implements core.AdaptingBackend: every replica applies the same
-// §4.1.2 adaptation step and registers the fresh parameters with its
-// optimizer. The replica RNGs were seeded identically and have consumed
-// identical draw sequences, so the fresh layers are born bit-identical on
-// every rank and replica synchronization survives without a broadcast. It
-// must not be called concurrently with an epoch.
+// Adapt implements core.AdaptingBackend: every replica's trainer applies
+// the same §4.1.2 adaptation step and the bucket plan is rebuilt over the
+// extended arena. The replica RNGs were seeded identically and have
+// consumed identical draw sequences, so the fresh layers are born
+// bit-identical on every rank and replica synchronization survives without
+// a broadcast. It must not be called concurrently with an epoch.
 func (pt *ParallelTrainer) Adapt() error {
 	for _, r := range pt.reps {
-		fresh := r.net.Adapt()
-		r.arena.Extend(fresh)
-		r.opt.ExtendParams(fresh)
-		r.params = append(r.params, fresh...)
+		if err := r.Adapt(); err != nil {
+			return err
+		}
 		if err := r.replan(pt.Cfg.BucketElems); err != nil {
 			return err
 		}
@@ -606,41 +539,23 @@ func (pt *ParallelTrainer) Adapt() error {
 	return nil
 }
 
-// ExportState implements core.StatefulBackend using replica 0 (replicas
-// are bit-identical while training is synchronous): a unet gob snapshot
-// plus the Adam state in the network's parameter order — the same
-// encoding core.Trainer uses, so checkpoints are portable between
-// single-process and distributed runs.
+// ExportState implements core.StatefulBackend with replica 0's trainer
+// (replicas are bit-identical while training is synchronous), so
+// checkpoints are portable between single-process and distributed runs.
 func (pt *ParallelTrainer) ExportState() ([]byte, nn.AdamState, error) {
-	var buf bytes.Buffer
-	if err := pt.reps[0].net.Save(&buf); err != nil {
-		return nil, nn.AdamState{}, err
-	}
-	st, err := pt.reps[0].opt.ExportStateFor(pt.reps[0].net.Params())
-	if err != nil {
-		return nil, nn.AdamState{}, err
-	}
-	return buf.Bytes(), st, nil
+	return pt.reps[0].ExportState()
 }
 
-// ImportState restores every replica from the same snapshot, rebuilding
-// networks, optimizers, arenas and bucket plans. All replicas decode the
-// same bytes, so they come back bit-identical. It must not be called
-// concurrently with an epoch.
+// ImportState restores every replica's trainer from the same snapshot and
+// rebuilds its bucket plan. All replicas decode the same bytes, so they
+// come back bit-identical. It must not be called concurrently with an
+// epoch.
 func (pt *ParallelTrainer) ImportState(netBytes []byte, opt nn.AdamState) error {
 	for _, r := range pt.reps {
-		u, err := unet.Load(bytes.NewReader(netBytes))
-		if err != nil {
+		if err := r.ImportState(netBytes, opt); err != nil {
 			return err
 		}
-		u.SetBufferReuse(true)
-		params := u.Params()
-		arena := nn.NewArena(params)
-		o, err := nn.NewAdamFromState(params, pt.Cfg.LR, opt)
-		if err != nil {
-			return err
-		}
-		r.net, r.opt, r.params, r.arena = u, o, params, arena
+		r.Net.SetBufferReuse(true)
 		if err := r.replan(pt.Cfg.BucketElems); err != nil {
 			return err
 		}
@@ -657,10 +572,10 @@ func (pt *ParallelTrainer) ImportState(netBytes []byte, opt nn.AdamState) error 
 // TrainEpoch.
 func (pt *ParallelTrainer) MaxReplicaDivergence() float64 {
 	maxd := 0.0
-	base := pt.reps[0].params
+	base := pt.reps[0].Net.Params()
 	for _, r := range pt.reps[1:] {
-		for i, p0 := range base {
-			d0, d1 := p0.Data.Data, r.params[i].Data.Data
+		for i, p1 := range r.Net.Params() {
+			d0, d1 := base[i].Data.Data, p1.Data.Data
 			for j := range d0 {
 				if d := math.Abs(d0[j] - d1[j]); d > maxd {
 					maxd = d
@@ -673,10 +588,10 @@ func (pt *ParallelTrainer) MaxReplicaDivergence() float64 {
 
 // Params returns replica 0's parameters (the canonical model: all replicas
 // are identical while training is synchronous).
-func (pt *ParallelTrainer) Params() []*nn.Param { return pt.reps[0].params }
+func (pt *ParallelTrainer) Params() []*nn.Param { return pt.reps[0].Params() }
 
 // Net returns replica 0's network.
-func (pt *ParallelTrainer) Net() *unet.UNet { return pt.reps[0].net }
+func (pt *ParallelTrainer) Net() *unet.UNet { return pt.reps[0].Net }
 
 // World returns the communicator size p — the rank count across all
 // processes, which is Workers in-process or Transport.Peers() when the
